@@ -5,8 +5,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <optional>
-
 #include <vector>
 
 #include "core/repartitioner.h"
@@ -25,12 +25,13 @@ static_assert(sizeof(MpscChunkQueue<ActionTask>::Chunk) <=
 
 namespace {
 
-/// Thread-local mutation observer a durability-enabled worker installs for
-/// its lifetime: every successful insert/update/delete on this thread
-/// becomes a staged log record, and the transaction's touched-partition
-/// bit is set for the commit protocol. Against a kCompactDiffV2 shard,
-/// updates are diff-encoded — only the contiguous byte range that changed
-/// (plus the Rid locating it) is logged instead of the full after-image.
+/// Thread-local mutation observer a durability-enabled worker installs
+/// before each batch of the partition it belongs to: every successful
+/// insert/update/delete on this thread becomes a staged log record, and
+/// the transaction's touched-partition bit is set for the commit
+/// protocol. Against a kCompactDiffV2 shard, updates are diff-encoded —
+/// only the contiguous byte range that changed (plus the Rid locating
+/// it) is logged instead of the full after-image.
 class WorkerLogObserver : public storage::MutationObserver {
  public:
   WorkerLogObserver(log::ShardWriter* writer, size_t seq, bool diff_updates)
@@ -118,9 +119,9 @@ class PartitionedExecutor::CommitAckSink : public log::LogManager::CommitSink {
 /// actions, or a commit's marker fan-out) by destination partition.
 /// PublishAll then performs one inbox push per chunk — one per partition
 /// for groups of up to a chunk's capacity — and at most one wake per
-/// partition, regardless of how many tasks the wave carried. Chunks come
-/// from the destination partition's pool, so steady-state publishing
-/// allocates nothing.
+/// destination worker, regardless of how many tasks (and partitions of
+/// that worker's core) the wave carried. Chunks come from the destination
+/// partition's pool, so steady-state publishing allocates nothing.
 class PartitionedExecutor::Publisher {
  public:
   Publisher() { groups_.reserve(8); }
@@ -158,7 +159,16 @@ class PartitionedExecutor::Publisher {
                                 std::memory_order_relaxed);
       // FIFO push order: the inbox's drain-and-reverse restores it.
       for (auto* c : g.chunks) g.part->inbox.Push(c);
-      ex->Wake(g.part);
+    }
+    // Wake after every push, once per distinct worker: a worker woken by
+    // its first partition's group finds the whole wave already published,
+    // so the wave costs one claimed wake per core, not per partition.
+    for (size_t i = 0; i < groups_.size(); ++i) {
+      Worker* w = groups_[i].part->worker;
+      bool seen = false;
+      for (size_t j = 0; j < i && !seen; ++j)
+        seen = groups_[j].part->worker == w;
+      if (!seen) ex->Wake(w);
     }
     groups_.clear();
   }
@@ -242,11 +252,11 @@ PartitionedExecutor::PartitionedExecutor(Database* db,
         s.hw_islands[i].Accumulate(hw_retired_[i]);
         for (bool v : hw_retired_[i].valid) any |= v;
       }
-      for (Partition* p : flat_parts_) {
-        if (!p->perf.open()) continue;
-        size_t island = static_cast<size_t>(topo_.socket_of(p->core));
+      for (const auto& w : workers_) {
+        if (!w->perf.open()) continue;
+        size_t island = static_cast<size_t>(topo_.socket_of(w->core));
         if (island < islands) {
-          s.hw_islands[island].Accumulate(p->perf.Read());
+          s.hw_islands[island].Accumulate(w->perf.Read());
           any = true;  // only data that actually landed in hw_islands
         }
       }
@@ -308,6 +318,7 @@ void PartitionedExecutor::StartWorkers() {
   PlacePartitions();
   parts_.clear();
   flat_parts_.clear();
+  workers_.clear();
   const bool centralized = log_ != nullptr && opt_.log_shards == 1;
   mem::IslandAllocator& alloc = db_->memory();
   if (log_ != nullptr) {
@@ -360,66 +371,97 @@ void PartitionedExecutor::StartWorkers() {
       }
       // Invariant: a partition placed on a failed island is born
       // quarantined (reachable when a repartition rollback restores a
-      // pre-failure scheme) — its worker drains as a zombie, so nothing
-      // routed there can hang.
+      // pre-failure scheme) — its worker drains it as a zombie, so
+      // nothing routed there can hang.
       if ((failed_islands_.load(std::memory_order_relaxed) >> owner) & 1u)
         part->failed.store(true, std::memory_order_relaxed);
-      Partition* raw = part.get();
-      part->worker = std::thread([this, raw] { WorkerLoop(raw); });
-      flat_parts_.push_back(raw);
+      flat_parts_.push_back(part.get());
       parts_[t].push_back(std::move(part));
     }
   }
+  // One worker per distinct placement core, owning its partitions in seq
+  // order. Threads start only once every worker's partition list is final.
+  for (Partition* p : flat_parts_) {
+    Worker* w = nullptr;
+    for (auto& cand : workers_) {
+      if (cand->core == p->core) {
+        w = cand.get();
+        break;
+      }
+    }
+    if (w == nullptr) {
+      workers_.push_back(std::make_unique<Worker>());
+      w = workers_.back().get();
+      w->core = p->core;
+    }
+    w->parts.push_back(p);
+    p->worker = w;
+  }
+  for (auto& w : workers_) {
+    Worker* raw = w.get();
+    w->thread = std::thread([this, raw] { WorkerLoop(raw); });
+  }
 }
 
-void PartitionedExecutor::WorkerLoop(Partition* p) {
-  hw::BindCurrentThread(topo_, p->core);
+void PartitionedExecutor::WorkerLoop(Worker* w) {
+  hw::BindCurrentThread(topo_, w->core);
   // Hardware counters must be opened by the measured thread itself
   // (perf_event_open with pid=0); the capability probe inside makes this
   // a no-op where perf is unavailable. Read cross-thread by the
   // snapshot source once perf.open() flips.
-  if (opt_.hw_counters) p->perf.OpenForCurrentThread();
-  core::PartitionMonitor::BatchTally tally(*p->monitor);
-  uint64_t drain_tick = 0;  // 1-in-8 sampling stride for the drain hists
-  // Durability: this worker stages its drained batch's records (and the
-  // commit markers routed to it) and appends them to its shard with one
-  // reservation per batch; the centralized configuration appends per
-  // record instead (the retired WAL's protocol).
-  std::optional<log::ShardWriter> writer;
-  std::optional<WorkerLogObserver> observer;
-  if (log_ != nullptr) {
-    writer.emplace(log_.get(), p->shard, /*immediate=*/opt_.log_shards == 1);
-    observer.emplace(&*writer, p->seq,
-                     opt_.log_wire == log::WireFormat::kCompactDiffV2);
-    storage::SetThreadMutationObserver(&*observer);
-  }
-  for (;;) {
-    TaskQueue::Chunk* chain = p->inbox.PopAll();
-    if (chain == nullptr) {
-      // Callers stop workers only after Drain(), so an empty grab with
-      // stop set means no task can ever arrive again.
-      if (p->stop.load(std::memory_order_acquire)) {
-        if (observer) storage::SetThreadMutationObserver(nullptr);
-        return;
-      }
-      // Park protocol (consumer side of the Dekker pair, see
-      // mpsc_queue.h): declare intent, re-check inbox and stop with
-      // seq_cst, only then sleep. Producers that published before the
-      // re-check are seen; producers that publish after it see
-      // parked == true and wake us.
-      p->parked.store(true, std::memory_order_seq_cst);
-      if (!p->inbox.Empty() || p->stop.load(std::memory_order_seq_cst)) {
-        p->parked.store(false, std::memory_order_relaxed);
-        continue;
-      }
-      std::unique_lock lk(p->mu);
-      p->cv.wait(lk, [p] {
-        return !p->parked.load(std::memory_order_relaxed) ||
-               p->stop.load(std::memory_order_relaxed);
-      });
-      p->parked.store(false, std::memory_order_relaxed);
-      continue;
+  if (opt_.hw_counters) w->perf.OpenForCurrentThread();
+  // Per-partition drain state, private to this thread. Each partition
+  // keeps its own monitor tally and — under durability — its own shard
+  // writer and mutation observer, installed before each of its batches:
+  // a worker shared by several partitions attributes load and log
+  // records exactly as a dedicated one would. The staged batch's records
+  // (and the commit markers routed to the partition) are appended to its
+  // shard with one reservation per batch; the centralized configuration
+  // appends per record instead (the retired WAL's protocol). A deque
+  // keeps each observer's writer pointer stable.
+  struct Lane {
+    explicit Lane(Partition* part) : p(part), tally(*part->monitor) {}
+    Partition* p;
+    core::PartitionMonitor::BatchTally tally;
+    std::optional<log::ShardWriter> writer;
+    std::optional<WorkerLogObserver> observer;
+  };
+  std::deque<Lane> lanes;
+  for (Partition* p : w->parts) {
+    Lane& l = lanes.emplace_back(p);
+    if (log_ != nullptr) {
+      l.writer.emplace(log_.get(), p->shard,
+                       /*immediate=*/opt_.log_shards == 1);
+      l.observer.emplace(&*l.writer, p->seq,
+                         opt_.log_wire == log::WireFormat::kCompactDiffV2);
     }
+  }
+  uint64_t drain_tick = 0;  // 1-in-8 sampling stride for the drain hists
+  const size_t K = opt_.interleave_depth <= 1
+                       ? 1
+                       : static_cast<size_t>(opt_.interleave_depth);
+  // Interleaved-drain slot (see below). The ring is sized once per
+  // thread and reused by every batch, so a steady-state drain allocates
+  // nothing.
+  struct Slot {
+    storage::PrefetchChain warm;  ///< the current stage's chain
+    const ActionTask* task = nullptr;
+    storage::Table* table = nullptr;
+    uint64_t key = 0;
+    /// Descent result; written by the WarmDescent frame, so it must be
+    /// address-stable — the ring is sized once and never moved.
+    std::optional<uint64_t> val;
+    uint64_t t0_ns = 0;
+    enum : uint8_t { kDescent = 0, kRecord, kWarmed };
+    uint8_t stage = kWarmed;
+  };
+  std::vector<Slot> ring(K > 1 ? K : 0);
+
+  // Drains one grabbed chain of lane l's partition. Nothing in the
+  // per-batch body depends on how many partitions share this thread.
+  auto drain = [&](Lane& l, TaskQueue::Chunk* chain) {
+    Partition* p = l.p;
+    if (l.observer) storage::SetThreadMutationObserver(&*l.observer);
     // Count the batch *before* running it: a completion a client observed
     // then can never precede its action's executed_ credit, so after
     // Drain() the counter equals the actions actually executed.
@@ -441,10 +483,10 @@ void PartitionedExecutor::WorkerLoop(Partition* p) {
     p->pending.fetch_sub(static_cast<int64_t>(total),
                          std::memory_order_relaxed);
     // Island death (fault::kWorkerKill), checked once per drained batch:
-    // this worker's island fail-stops. The worker itself turns zombie —
-    // the whole batch below fails kUnavailable — and the sentinel
-    // quarantines the siblings and runs the evacuation (a worker cannot
-    // evacuate itself: Repartition joins its own thread).
+    // this partition's island fail-stops. The partition itself turns
+    // zombie — the whole batch below fails kUnavailable — and the
+    // sentinel quarantines the siblings and runs the evacuation (a worker
+    // cannot evacuate itself: Repartition joins its own thread).
     bool zombie = p->failed.load(std::memory_order_acquire);
     if (!zombie && fault::Should(fault::SiteId::kWorkerKill)) {
       p->failed.store(true, std::memory_order_release);
@@ -472,22 +514,19 @@ void PartitionedExecutor::WorkerLoop(Partition* p) {
     auto run_task = [&](const ActionTask& task) {
       if (task.act == nullptr) {
         // This partition's commit marker for task.st: staged behind the
-        // transaction's data records in this worker's append order, so
-        // the shard's LSN order encodes write-ahead.
-        writer->AddCommitMarker(task.st->txn_id, task.st->commit_epoch,
-                                task.st->marker_expected, task.st->ticket);
+        // transaction's data records in this partition's append order,
+        // so the shard's LSN order encodes write-ahead.
+        l.writer->AddCommitMarker(task.st->txn_id, task.st->commit_epoch,
+                                  task.st->marker_expected, task.st->ticket);
         obs_->Count(obs::CounterId::kCommitMarkersAppended);
         obs_->Trace(obs::SpanId::kCommitMarker, obs::TracePhase::kInstant,
                     task.st->trace_id, p->seq);
         return;
       }
-      if (observer) observer->set_txn(task.st);
-      if (!zombie) tally.Touch(task.act->key);
+      if (l.observer) l.observer->set_txn(task.st);
+      if (!zombie) l.tally.Touch(task.act->key);
       RunAction(task, zombie);
     };
-    const size_t K = opt_.interleave_depth <= 1
-                         ? 1
-                         : static_cast<size_t>(opt_.interleave_depth);
     if (K == 1 || zombie) {
       // Serial drain — the exact pre-interleaving path, zero coroutine
       // overhead. Zombies take it too: prefetching for actions that will
@@ -514,24 +553,12 @@ void PartitionedExecutor::WorkerLoop(Partition* p) {
       // suspension; the body performs the authoritative access
       // afterwards, cache-warm. A stale view (a neighbor's body moved
       // the key between slices) just ends the warm early.
-      struct Slot {
-        storage::PrefetchChain warm;  ///< the current stage's chain
-        const ActionTask* task = nullptr;
-        storage::Table* table = nullptr;
-        uint64_t key = 0;
-        /// Descent result; written by the WarmDescent frame, so it must
-        /// be address-stable — the ring is sized once and never moved.
-        std::optional<uint64_t> val;
-        uint64_t t0_ns = 0;
-        enum : uint8_t { kDescent = 0, kRecord, kWarmed };
-        uint8_t stage = kWarmed;
-      };
       const bool tracing = obs_->trace_enabled();
-      std::vector<Slot> ring(K);
       size_t head = 0, live = 0;
       // Coroutine frames recycle through the partition's chunk pool —
       // steady-state interleaving allocates nothing, like the inbox
-      // chunks the tasks arrived in.
+      // chunks the tasks arrived in. Every frame of the batch is released
+      // before the batch ends, so the next partition's pool takes over.
       storage::SetThreadFramePool(p->pool.get());
       TaskQueue::Chunk* c = chain;
       uint32_t ci = 0;
@@ -613,14 +640,15 @@ void PartitionedExecutor::WorkerLoop(Partition* p) {
         p->inbox.ReleaseChunk(done);
       }
     }
-    if (writer) writer->Flush();  // one shard reservation for the batch
+    if (l.writer) l.writer->Flush();  // one shard reservation per batch
     if (n > 0) {
       double us = std::chrono::duration<double, std::micro>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
       // Zombie batches executed nothing: no monitor load, no drain-shape
       // samples (they would record near-zero abort costs).
-      if (!zombie) p->monitor->RecordBatch(&tally, us / static_cast<double>(n));
+      if (!zombie)
+        p->monitor->RecordBatch(&l.tally, us / static_cast<double>(n));
       // Per-batch registry flush, same discipline as the monitor: the
       // observability cost scales with drains, not actions (Table 2).
       // The drain histograms are additionally sampled 1-in-8: when the
@@ -646,47 +674,83 @@ void PartitionedExecutor::WorkerLoop(Partition* p) {
       obs_->Trace(obs::SpanId::kDrain, obs::TracePhase::kComplete, 0,
                   static_cast<uint64_t>(us * 1000.0));
     }
+  };
+
+  for (;;) {
+    // One round-robin pass: every partition's inbox is grabbed once and
+    // its whole chain drained, so a continuously fed partition delays a
+    // same-core sibling by at most one batch. The plain load skips the
+    // exchange on idle inboxes; this thread is the only consumer, so a
+    // non-empty inbox always yields a chain.
+    bool drained = false;
+    for (Lane& l : lanes) {
+      if (l.p->inbox.Empty()) continue;
+      drained = true;
+      drain(l, l.p->inbox.PopAll());
+    }
+    if (drained) continue;
+    // Callers stop workers only after Drain(), so a pass that found
+    // every inbox empty with stop set means no task can ever arrive
+    // again.
+    if (w->stop.load(std::memory_order_acquire)) break;
+    // Park protocol (consumer side of the Dekker pair, see
+    // mpsc_queue.h): declare intent, re-check every inbox and stop with
+    // seq_cst, only then sleep. Producers that published before the
+    // re-check are seen; producers that publish after it see
+    // parked == true and wake us.
+    w->parked.store(true, std::memory_order_seq_cst);
+    bool ready = w->stop.load(std::memory_order_seq_cst);
+    for (const Lane& l : lanes) ready = ready || !l.p->inbox.Empty();
+    if (ready) {
+      w->parked.store(false, std::memory_order_relaxed);
+      continue;
+    }
+    obs_->Count(obs::CounterId::kWorkerParks);
+    std::unique_lock lk(w->mu);
+    w->cv.wait(lk, [w] {
+      return !w->parked.load(std::memory_order_relaxed) ||
+             w->stop.load(std::memory_order_relaxed);
+    });
+    w->parked.store(false, std::memory_order_relaxed);
   }
+  if (log_ != nullptr) storage::SetThreadMutationObserver(nullptr);
 }
 
-void PartitionedExecutor::Wake(Partition* p) {
+void PartitionedExecutor::Wake(Worker* w) {
   // Claim the wake: only one producer per park episode notifies, and
-  // publishes onto a running worker notify nobody.
-  if (p->parked.exchange(false, std::memory_order_seq_cst)) {
+  // publishes onto a running worker — to any of its partitions — notify
+  // nobody.
+  if (w->parked.exchange(false, std::memory_order_seq_cst)) {
     {
       // Empty critical section: the worker is either before its
       // predicate check (it will see parked == false) or inside wait
       // (the notify reaches it).
-      std::lock_guard lk(p->mu);
+      std::lock_guard lk(w->mu);
     }
-    p->cv.notify_one();
+    w->cv.notify_one();
+    obs_->Count(obs::CounterId::kWorkerWakes);
   }
 }
 
 void PartitionedExecutor::StopWorkers() {
-  for (auto& tp : parts_) {
-    for (auto& p : tp) {
-      p->stop.store(true, std::memory_order_seq_cst);
-      {
-        std::lock_guard lk(p->mu);  // close the check-then-wait window
-      }
-      p->cv.notify_all();
+  for (auto& w : workers_) {
+    w->stop.store(true, std::memory_order_seq_cst);
+    {
+      std::lock_guard lk(w->mu);  // close the check-then-wait window
     }
+    w->cv.notify_all();
   }
-  for (auto& tp : parts_)
-    for (auto& p : tp)
-      if (p->worker.joinable()) p->worker.join();
+  for (auto& w : workers_)
+    if (w->thread.joinable()) w->thread.join();
   // Retire the joined workers' counter totals per island so Repartition
-  // (which destroys these Partition objects) doesn't lose hardware history.
+  // (which destroys these Worker objects) doesn't lose hardware history.
   // Callers hold the exclusive scheme gate (or run after RemoveSource), so
   // no snapshot source reads hw_retired_ concurrently.
-  for (auto& tp : parts_) {
-    for (auto& p : tp) {
-      if (!p->perf.open()) continue;
-      size_t island = static_cast<size_t>(topo_.socket_of(p->core));
-      if (hw_retired_.size() <= island) hw_retired_.resize(island + 1);
-      hw_retired_[island].Accumulate(p->perf.Read());
-    }
+  for (auto& w : workers_) {
+    if (!w->perf.open()) continue;
+    size_t island = static_cast<size_t>(topo_.socket_of(w->core));
+    if (hw_retired_.size() <= island) hw_retired_.resize(island + 1);
+    hw_retired_[island].Accumulate(w->perf.Read());
   }
 }
 
@@ -1152,7 +1216,7 @@ Result<size_t> PartitionedExecutor::KillIsland(int island) {
     for (Partition* p : flat_parts_) {
       if (topo_.socket_of(p->core) == island) {
         p->failed.store(true, std::memory_order_release);
-        Wake(p);
+        Wake(p->worker);
       }
     }
   }

@@ -1,8 +1,9 @@
-// Real-thread data-oriented (DORA/PLP-style) executor: one worker thread
-// per logical partition, each owning its subtree of the multi-rooted
-// B-trees; transactions are submitted as ActionGraphs — staged DAGs of
-// actions separated by rendezvous points — whose actions are routed to the
-// owning workers. Includes the ATraPos monitoring hooks and online
+// Real-thread data-oriented (DORA/PLP-style) executor: logical partitions
+// own their subtree of the multi-rooted B-trees and are placed on cores;
+// one worker thread per distinct placement core drains every partition
+// placed there. Transactions are submitted as ActionGraphs — staged DAGs
+// of actions separated by rendezvous points — whose actions are routed to
+// the owning partitions. Includes the ATraPos monitoring hooks and online
 // repartitioning.
 //
 // This is the functional counterpart of simengine/dora.cc: same core logic
@@ -23,15 +24,19 @@
 // deque<std::function>. Producers — Submit, SubmitBatch, and RVP fan-out
 // alike — group a stage's actions by destination partition and publish
 // each group with a single enqueue plus a single coalesced wake (only a
-// parked worker is notified, tracked by a per-partition `parked` flag).
-// Workers drain a whole batch per wake, take one timestamp per batch, and
-// flush monitoring and the executed-action counter once per batch. Inbox
-// chunks come from a per-partition pool (mem::ChunkPool), so steady-state
-// submission allocates nothing.
+// parked worker is notified, tracked by a per-worker `parked` flag, so a
+// wave touching several partitions of one core wakes that core once).
+// A worker makes round-robin passes over its partitions' inboxes, drains
+// each non-empty inbox's whole batch per visit (so a continuously fed
+// partition delays a same-core sibling by at most one batch), takes one
+// timestamp per batch, and flushes monitoring and the executed-action
+// counter once per batch. It parks only after a full pass found every
+// inbox empty. Inbox chunks come from a per-partition pool
+// (mem::ChunkPool), so steady-state submission allocates nothing.
 //
 // Durability (Options::durability, src/log/): each partition owns a log
-// shard on its island; workers stage their batch's after-images and
-// append them with one reservation per batch, commit markers fan out
+// shard on its island; workers stage each partition batch's after-images
+// and append them with one reservation per batch, commit markers fan out
 // through the partition inboxes, and TxnFuture completion is deferred
 // until the transaction's markers reach the configured durability point
 // (asynchronous acks — workers never block in a flush window, and the
@@ -67,8 +72,8 @@ namespace atrapos::engine {
 /// std::functions) lives in *st, which TxnState::self keeps alive until
 /// the transaction completes — publishing an action allocates nothing and
 /// copies no closure. A task with `act == nullptr` is a commit marker:
-/// the receiving worker appends st's commit record to its own shard,
-/// which — because the worker serializes its shard's appends — lands
+/// the owning worker appends st's commit record to the partition's shard,
+/// which — because that worker serializes the shard's appends — lands
 /// after every data record the transaction wrote there (the write-ahead
 /// invariant, kept without any cross-shard lock).
 struct ActionTask {
@@ -207,7 +212,7 @@ class PartitionedExecutor : public Database::Drainable {
 
   /// Fail-stops one hardware island (fault::kWorkerKill fires this through
   /// the sentinel; tests and benches call it directly). Every partition
-  /// placed on the island is quarantined — its worker turns zombie:
+  /// placed on the island is quarantined — its batches turn zombie:
   /// in-flight actions abort with kUnavailable (never hang, never complete
   /// twice) while commit markers still append, so already-decided deferred
   /// commits settle instead of stranding their futures. The quarantined
@@ -256,11 +261,15 @@ class PartitionedExecutor : public Database::Drainable {
  private:
   using TaskQueue = MpscChunkQueue<ActionTask>;
 
+  struct Worker;
+
   struct Partition {
     int table;
     uint64_t lo, hi;
     hw::CoreId core;
     size_t seq;  ///< global partition index (touched-bitmask bit, shard id)
+    /// The thread draining this partition: the one worker of `core`.
+    Worker* worker = nullptr;
     std::unique_ptr<core::PartitionMonitor> monitor;
     /// Backs the inbox chunks and this partition's log-shard buffers from
     /// the owner island's arena; shared so a sealed shard outlives the
@@ -268,29 +277,40 @@ class PartitionedExecutor : public Database::Drainable {
     std::shared_ptr<mem::ChunkPool> pool;
     /// This partition's log shard (nullptr when durability is off).
     log::LogShard* shard = nullptr;
-    /// Lock-free MPSC inbox; mu/cv exist only for parking an idle worker.
+    /// Lock-free MPSC inbox, drained only by `worker`.
     TaskQueue inbox;
     /// Tasks published but not yet drained (producers add before Push,
     /// the worker subtracts after PopAll — never negative). Snapshot-time
     /// queue depth; per-partition because several producers feed one inbox.
     std::atomic<int64_t> pending{0};
+    /// Island quarantine (KillIsland / fault::kWorkerKill): the worker
+    /// keeps draining this partition but fails every action task with
+    /// kUnavailable while still appending commit markers — no future ever
+    /// hangs on a dead island. Set once, never cleared (evacuation
+    /// replaces the partition).
+    std::atomic<bool> failed{false};
+  };
+
+  /// One thread per distinct placement core: drains every partition
+  /// placed on `core`. Partitions on one core share the core's island, so
+  /// quarantine stays per partition while the thread is shared.
+  struct Worker {
+    hw::CoreId core{};
+    std::vector<Partition*> parts;  ///< fixed before the thread starts
     /// True while the worker is (about to be) blocked on cv. Producers
-    /// claim the wake with exchange(false), so a burst of publishes while
-    /// the worker runs performs zero notifies (wake coalescing).
+    /// claim the wake with exchange(false), so a burst of publishes — to
+    /// any of this worker's partitions — while it runs performs zero
+    /// notifies (wake coalescing).
     std::atomic<bool> parked{false};
     std::atomic<bool> stop{false};
-    /// Island quarantine (KillIsland / fault::kWorkerKill): the worker
-    /// keeps draining but fails every action task with kUnavailable while
-    /// still appending commit markers — no future ever hangs on a dead
-    /// island. Set once, never cleared (evacuation replaces the partition).
-    std::atomic<bool> failed{false};
     /// Hardware counter group, opened by the worker on itself (perf
     /// requires the measured thread to be the opener); read cross-thread
     /// by the snapshot source once perf.open() is true.
     obs::PerfCounters perf;
+    /// mu/cv exist only for parking an idle worker.
     std::mutex mu;
     std::condition_variable cv;
-    std::thread worker;
+    std::thread thread;
   };
 
   /// Per-call scratch that buckets one publish wave's tasks by destination
@@ -300,7 +320,7 @@ class PartitionedExecutor : public Database::Drainable {
 
   void StartWorkers();
   void StopWorkers();
-  void WorkerLoop(Partition* p);
+  void WorkerLoop(Worker* w);
   /// Runs one task; the stage's last finisher advances the graph (abort at
   /// RVP, next-stage fan-out, or completion). A quarantined partition's
   /// worker passes `zombie`: the action body is skipped and fails with
@@ -312,9 +332,9 @@ class PartitionedExecutor : public Database::Drainable {
   void RequestKillIsland(int island);
   /// Processes queued kill requests (KillIsland) off the worker threads.
   void SentinelLoop();
-  /// Notifies p's worker iff it is parked (producer side of the Dekker
-  /// pair documented in mpsc_queue.h).
-  void Wake(Partition* p);
+  /// Notifies w iff it is parked (producer side of the Dekker pair
+  /// documented in mpsc_queue.h); one claim per park episode.
+  void Wake(Worker* w);
   /// Places every partition's subtree (and each table's heap) on the arena
   /// the database's placement policy selects for its owning island; called
   /// with workers stopped. Subtrees whose owner changed are migrated.
@@ -363,9 +383,11 @@ class PartitionedExecutor : public Database::Drainable {
   mutable std::shared_mutex scheme_mu_;  // shared: Submit; unique: Repartition
   core::Scheme scheme_;
   std::vector<std::vector<std::unique_ptr<Partition>>> parts_;
+  /// One per distinct placement core, rebuilt with parts_.
+  std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint64_t> executed_{0};
-  /// Hardware-counter totals of partitions already destroyed (StopWorkers
-  /// folds each dying partition's final reading into its island's slot
+  /// Hardware-counter totals of workers already joined (StopWorkers
+  /// folds each dying worker's final reading into its island's slot
   /// here), so the per-island aggregation stays monotone across
   /// Repartition/KillIsland. Indexed by island; guarded by scheme_mu_
   /// (written under the exclusive gate, read under the shared one).

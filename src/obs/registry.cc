@@ -28,6 +28,8 @@ const char* CounterName(CounterId c) {
       return "fault_partitions_evacuated";
     case CounterId::kFaultTxnsUnavailable: return "fault_txns_unavailable";
     case CounterId::kInterleaveSuspensions: return "interleave_suspensions";
+    case CounterId::kWorkerParks: return "worker_parks";
+    case CounterId::kWorkerWakes: return "worker_wakes";
     case CounterId::kCount: break;
   }
   return "?";
@@ -66,6 +68,11 @@ const char* CounterHelp(CounterId c) {
       return "Actions failed kUnavailable by a quarantined worker.";
     case CounterId::kInterleaveSuspensions:
       return "Warm-pipeline suspend/resume hops (interleaved execution).";
+    case CounterId::kWorkerParks:
+      return "Worker park episodes (blocked after a pass found every inbox "
+             "empty).";
+    case CounterId::kWorkerWakes:
+      return "Claimed worker wakes (one notify per park episode).";
     case CounterId::kCount: break;
   }
   return "?";

@@ -70,6 +70,9 @@ enum class CounterId : uint16_t {
   kFaultTxnsUnavailable,  ///< actions failed kUnavailable by a quarantined worker
   // ---- interleaved execution (storage/interleave.h) -----------------------
   kInterleaveSuspensions, ///< warm-pipeline suspend/resume hops (flushed per batch)
+  // ---- worker park/wake (one worker thread per placement core) -----------
+  kWorkerParks,           ///< park episodes: a worker blocked after an empty pass
+  kWorkerWakes,           ///< claimed wakes: producers that notified a parked worker
   kCount
 };
 const char* CounterName(CounterId c);

@@ -60,7 +60,13 @@ struct Server::Conn {
   std::mutex out_mu;
   std::vector<uint8_t> out;  ///< responses queued, not yet picked up
   bool queued = false;       ///< in owner's dirty list (guarded by out_mu)
-  /// Requests admitted, response not yet queued (window accounting).
+  /// Admission window: requests holding one of the `window` slots. A slot
+  /// is released just *before* its response is queued, so a client that
+  /// reuses it the moment it reads the ack is never shed kOverloaded.
+  std::atomic<uint32_t> window_used{0};
+  /// Drain accounting: requests admitted, response not yet queued.
+  /// Decremented only *after* QueueResponse — Stop() and the GOODBYE
+  /// close in FlushConn rely on 0 meaning "every answer is queued".
   std::atomic<uint32_t> outstanding{0};
   std::atomic<bool> closed{false};
 };
@@ -398,11 +404,11 @@ void Server::HandleFrame(IoThread* t, const std::shared_ptr<Conn>& c,
           QueueResponse(c, std::move(ack));
           continue;
         }
-        // Admission control. Outstanding counts admitted-not-yet-answered
-        // requests, so a whole burst beyond the window sheds
-        // deterministically: nothing admitted in this wave can complete
-        // before the wave is submitted.
-        if (c->outstanding.load(std::memory_order_acquire) >= c->window) {
+        // Admission control. window_used counts admitted requests whose
+        // answer is not yet on its way, so a whole burst beyond the window
+        // sheds deterministically: nothing admitted in this wave can
+        // complete before the wave is submitted.
+        if (c->window_used.load(std::memory_order_acquire) >= c->window) {
           obs_->Count(obs::CounterId::kNetTxnsShed);
           std::vector<uint8_t> ack;
           EncodeTxnAck(&ack, txn.req_id, WireStatus::kOverloaded);
@@ -426,6 +432,7 @@ void Server::HandleFrame(IoThread* t, const std::shared_ptr<Conn>& c,
           QueueResponse(c, std::move(ack));
           continue;
         }
+        c->window_used.fetch_add(1, std::memory_order_acq_rel);
         c->outstanding.fetch_add(1, std::memory_order_acq_rel);
         engine::ActionGraph graph = g.take();
         uint64_t trace_id = 0;
@@ -488,7 +495,7 @@ void Server::HandlePkRead(const std::shared_ptr<Conn>& c, DecodedPkRead pk) {
   }
   // One window slot and one global in-flight slot per PK_READ frame, no
   // matter how many keys it batches — the batch is the amortization unit.
-  if (c->outstanding.load(std::memory_order_acquire) >= c->window) {
+  if (c->window_used.load(std::memory_order_acquire) >= c->window) {
     obs_->Count(obs::CounterId::kNetTxnsShed);
     answer_all(WireStatus::kOverloaded);
     return;
@@ -530,6 +537,7 @@ void Server::HandlePkRead(const std::shared_ptr<Conn>& c, DecodedPkRead pk) {
             return Status::OK();  // per-key misses are per-row statuses
           });
   }
+  c->window_used.fetch_add(1, std::memory_order_acq_rel);
   c->outstanding.fetch_add(1, std::memory_order_acq_rel);
   c->owner->wave_graphs.push_back(std::move(g));
   c->owner->wave_items.push_back({c, pk.req_id, obs_->NowNs(), state});
@@ -563,6 +571,7 @@ void Server::SubmitWave(IoThread* t) {
       } else {
         EncodeTxnAck(&ack, item.req_id, ws);
       }
+      item.conn->window_used.fetch_sub(1, std::memory_order_acq_rel);
       QueueResponse(item.conn, std::move(ack));
       item.conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
       ReleaseInflight(1);
@@ -585,6 +594,9 @@ void Server::SubmitWave(IoThread* t) {
         if (item.trace_id != 0)
           obs_->Trace(obs::SpanId::kWireAck, obs::TracePhase::kInstant,
                       item.trace_id);
+        // Window slot first: the client may reuse it as soon as the ack
+        // is readable. The drain counters follow the queued answer.
+        item.conn->window_used.fetch_sub(1, std::memory_order_acq_rel);
         QueueResponse(item.conn, std::move(ack));
         item.conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
         ReleaseInflight(1);

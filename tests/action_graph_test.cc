@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -563,6 +565,131 @@ TEST(ActionGraphTest, RepeatedStartStopHasNoMissedWake) {
       ASSERT_TRUE(e2.SubmitAndWait(std::move(g)).ok());
     }
   }
+}
+
+TEST(ActionGraphTest, FourPartitionsOnOneCoreNeverMissAWake) {
+  Database db({});
+  constexpr uint64_t kRows = 400;
+  (void)db.AddTable(MicroTable(kRows, {0, 100, 200, 300}));
+  auto topo = hw::Topology::SingleSocket(2);
+  auto quarters_on = [](std::vector<uint64_t> bounds) {
+    return OneTableScheme(std::move(bounds), {0, 0, 0, 0});
+  };
+  auto noop = [](storage::Table*, ActionCtx&) { return Status::OK(); };
+
+  // One worker owns all four inboxes, so a missed wake on any of them
+  // hangs every partition. Started and stopped repeatedly: each round
+  // lands concurrent producers on different partitions of the same core
+  // while the worker is parking, then restarts the worker via Repartition.
+  PartitionedExecutor exec(&db, topo, quarters_on({0, 100, 200, 300}));
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::thread> producers;
+    for (int q = 0; q < 4; ++q) {
+      producers.emplace_back([&, q] {
+        for (int i = 0; i < 25; ++i) {
+          ActionGraph g;
+          g.Add(0, static_cast<uint64_t>(q * 100 + i), noop);
+          ASSERT_TRUE(exec.SubmitAndWait(std::move(g)).ok());
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+    std::vector<ActionGraph> wave;
+    for (uint64_t k = 0; k < kRows; k += 50) {
+      ActionGraph g;
+      g.Add(0, k, noop);
+      wave.push_back(std::move(g));
+    }
+    ASSERT_TRUE(exec.SubmitBatch(wave).ok());
+    ASSERT_TRUE(exec.Repartition(round % 2 == 0
+                                     ? quarters_on({0, 50, 150, 350})
+                                     : quarters_on({0, 100, 200, 300}))
+                    .ok());
+  }
+  exec.Drain();
+  EXPECT_EQ(exec.executed_actions(), 20u * (4 * 25 + kRows / 50));
+
+  // Construct/destroy from a parked state with all four on one core.
+  for (int i = 0; i < 10; ++i) {
+    PartitionedExecutor e2(&db, topo, quarters_on({0, 100, 200, 300}));
+    if (i % 2 == 0) {
+      ActionGraph g;
+      g.Add(0, static_cast<uint64_t>(i * 40), noop);
+      ASSERT_TRUE(e2.SubmitAndWait(std::move(g)).ok());
+    }
+  }
+}
+
+TEST(ActionGraphTest, FedPartitionCannotStarveSameCoreSibling) {
+  Database db({});
+  constexpr uint64_t kRows = 200;
+  (void)db.AddTable(MicroTable(kRows, {0, kRows / 2}));
+  auto topo = hw::Topology::SingleSocket(2);
+  // Both partitions on core 0: one worker, two inboxes.
+  PartitionedExecutor exec(&db, topo, OneTableScheme({0, kRows / 2}, {0, 0}));
+
+  // kChains self-feeding actions keep partition 0 busy until `stop`:
+  // each one submits its successor into partition 0's inbox before it
+  // returns, so that inbox is never empty while the feed runs. A worker
+  // that drained a partition until it stayed empty would never come back
+  // to partition 1.
+  constexpr int kChains = 8;
+  std::atomic<uint64_t> fed{0};  // partition-0 actions executed so far
+  std::atomic<bool> stop{false};
+  std::function<Status(storage::Table*, ActionCtx&)> feed =
+      [&](storage::Table*, ActionCtx&) {
+        fed.fetch_add(1, std::memory_order_relaxed);
+        if (!stop.load(std::memory_order_relaxed)) {
+          ActionGraph next;
+          next.Add(0, 0, feed);
+          if (!exec.Submit(std::move(next)).ok()) return Status::Internal("");
+        }
+        return Status::OK();
+      };
+  for (int c = 0; c < kChains; ++c) {
+    ActionGraph g;
+    g.Add(0, static_cast<uint64_t>(c), feed);
+    ASSERT_TRUE(exec.Submit(std::move(g)).ok());
+  }
+  // Probe the sibling while partition 0 is fed. Between a probe's publish
+  // and its execution the worker may finish the partition-0 batch in
+  // progress and run at most one more (the round-robin pass visits
+  // partition 1 next): at most 2 * kChains partition-0 actions. `fed` is
+  // read just after Submit returned, i.e. after the publish, so the
+  // measured wait can only undercount — never flag a fair worker.
+  constexpr int kProbes = 200;
+  int64_t worst = 0;
+  for (int i = 0; i < kProbes; ++i) {
+    std::atomic<int64_t> at_run{0};
+    ActionGraph g;
+    g.Add(0, kRows - 1, [&](storage::Table*, ActionCtx&) {
+      at_run.store(static_cast<int64_t>(fed.load(std::memory_order_relaxed)),
+                   std::memory_order_relaxed);
+      return Status::OK();
+    });
+    auto f = exec.Submit(std::move(g));
+    const auto at_publish =
+        static_cast<int64_t>(fed.load(std::memory_order_relaxed));
+    ASSERT_TRUE(f.ok());
+    // A starved probe would never finish: fail instead of hanging (the
+    // stop flag ends the feed so teardown can drain).
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!f.value().Done()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        stop = true;
+        FAIL() << "probe starved behind the fed partition";
+      }
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(f.value().status().ok());
+    worst = std::max(worst, at_run.load() - at_publish);
+  }
+  stop = true;
+  exec.Drain();
+  EXPECT_GT(fed.load(), static_cast<uint64_t>(kProbes))
+      << "partition 0 was not fed while the probes ran";
+  EXPECT_LE(worst, 2 * kChains) << "sibling waited behind more than one batch";
 }
 
 // ---- TATP as routed action graphs ----------------------------------------

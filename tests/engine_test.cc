@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "engine/adaptive_manager.h"
@@ -15,9 +18,10 @@ namespace atrapos::engine {
 namespace {
 
 std::unique_ptr<storage::Table> MicroTable(uint64_t rows,
-                                           std::vector<uint64_t> bounds = {0}) {
-  auto t = std::make_unique<storage::Table>(0, "T", workload::MicroTableSchema(),
-                                            bounds);
+                                           std::vector<uint64_t> bounds = {0},
+                                           int id = 0) {
+  auto t = std::make_unique<storage::Table>(
+      id, "T" + std::to_string(id), workload::MicroTableSchema(), bounds);
   for (uint64_t k = 0; k < rows; ++k) {
     storage::Tuple row(&t->schema());
     row.SetInt(0, static_cast<int64_t>(k));
@@ -223,6 +227,121 @@ TEST(PartitionedExecutorTest, RepartitionPreservesDataUnderLoad) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(db.table(0)->index().num_partitions(), 4u);
   EXPECT_EQ(db.table(0)->num_rows(), rows);
+}
+
+// ---- one worker thread per placement core ----------------------------------
+
+/// Threads of this process, from /proc/self/status ("Threads:").
+int ProcessThreads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+/// ProcessThreads() once it reads `want`, or its last reading after 5 s:
+/// a joined thread can linger in /proc for a moment after join returns.
+int SettledThreads(int want) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int n = ProcessThreads();
+  while (n != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = ProcessThreads();
+  }
+  return n;
+}
+
+/// `tables` micro tables of `rows` rows, each split in half; partition p
+/// of every table placed on core p (so each core owns `tables` partitions).
+core::Scheme HalvesOnCores(int tables, uint64_t rows,
+                           std::vector<hw::CoreId> cores) {
+  core::Scheme s;
+  for (int t = 0; t < tables; ++t) {
+    core::TableScheme ts;
+    ts.boundaries = {0, rows / 2};
+    ts.placement = cores;
+    s.tables.push_back(ts);
+  }
+  return s;
+}
+
+TEST(PartitionedExecutorTest, OneWorkerThreadPerDistinctPlacementCore) {
+  Database db({});
+  constexpr uint64_t kRows = 400;
+  for (int t = 0; t < 4; ++t)
+    (void)db.AddTable(MicroTable(kRows, {0, kRows / 2}, t));
+  auto topo = hw::Topology::SingleSocket(4);
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  {
+    // 4 tables x 2 partitions on cores {0, 1}: 8 partitions, 2 workers
+    // (plus the kill sentinel; durability is off, so no log flusher).
+    PartitionedExecutor exec(&db, topo, HalvesOnCores(4, kRows, {0, 1}));
+    EXPECT_EQ(SettledThreads(before + 2 + 1), before + 2 + 1);
+    // Re-placed onto three distinct cores: three workers after restart.
+    core::Scheme three = HalvesOnCores(4, kRows, {0, 1});
+    three.tables[2].placement = {2, 2};
+    three.tables[3].placement = {2, 1};
+    ASSERT_TRUE(exec.Repartition(three).ok());
+    EXPECT_EQ(SettledThreads(before + 3 + 1), before + 3 + 1);
+    // Everything still routes and runs.
+    for (int t = 0; t < 4; ++t) {
+      for (uint64_t k : {uint64_t{3}, kRows - 3}) {
+        ActionGraph g;
+        g.Add(t, k, [](storage::Table*, ActionCtx&) { return Status::OK(); });
+        ASSERT_TRUE(exec.SubmitAndWait(std::move(g)).ok());
+      }
+    }
+    EXPECT_EQ(exec.executed_actions(), 8u);
+  }
+  EXPECT_EQ(SettledThreads(before), before);
+}
+
+TEST(PartitionedExecutorTest, BatchWaveWakesEachParkedCoreOnce) {
+  Database db({});
+  constexpr uint64_t kRows = 400;
+  for (int t = 0; t < 4; ++t)
+    (void)db.AddTable(MicroTable(kRows, {0, kRows / 2}, t));
+  auto topo = hw::Topology::SingleSocket(2);
+  PartitionedExecutor exec(&db, topo, HalvesOnCores(4, kRows, {0, 1}));
+  auto counter = [&](obs::CounterId c) {
+    return db.StatsSnapshot().counter(c);
+  };
+  // Blocks until `floor` park episodes were counted. A worker counts its
+  // episode after setting `parked` and before blocking, and nothing wakes
+  // it but the waves below, so reaching the floor means both are parked.
+  auto await_parks = [&](uint64_t floor) {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (counter(obs::CounterId::kWorkerParks) < floor) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  await_parks(2);
+  for (int round = 0; round < 5; ++round) {
+    const uint64_t parks = counter(obs::CounterId::kWorkerParks);
+    const uint64_t wakes = counter(obs::CounterId::kWorkerWakes);
+    // One wave over all 8 partitions (4 tables x 2 halves, 2 cores).
+    std::vector<ActionGraph> wave;
+    for (int t = 0; t < 4; ++t) {
+      for (uint64_t k : {uint64_t{1}, kRows - 1}) {
+        ActionGraph g;
+        g.Add(t, k, [](storage::Table*, ActionCtx&) { return Status::OK(); });
+        wave.push_back(std::move(g));
+      }
+    }
+    auto fs = exec.SubmitBatch(wave);
+    ASSERT_TRUE(fs.ok());
+    for (auto& f : fs.value()) ASSERT_TRUE(f.Wait().ok());
+    EXPECT_EQ(counter(obs::CounterId::kWorkerWakes) - wakes, 2u)
+        << "one claimed wake per parked core, not per partition";
+    await_parks(parks + 2);
+  }
+  // Exposed on the Prometheus surface too.
+  std::string prom = db.StatsSnapshot().ToPrometheus();
+  EXPECT_NE(prom.find("atrapos_worker_parks "), std::string::npos);
+  EXPECT_NE(prom.find("atrapos_worker_wakes "), std::string::npos);
 }
 
 // ---- Island placement (src/mem/) -----------------------------------------

@@ -3,6 +3,7 @@
 // and subtree/heap migration between islands.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "hw/binding.h"
@@ -91,17 +92,41 @@ INSTANTIATE_TEST_SUITE_P(Topologies, PolicyTest,
                                            hw::Topology::Cube(2, 2),
                                            hw::Topology::TwistedCube8x10()));
 
-TEST_P(PolicyTest, LocalResolvesToRequestingSocket) {
-  IslandAllocator alloc(GetParam(),
-                        {.policy = PlacementPolicy::kLocal});
-  for (int s = 0; s < GetParam().num_sockets(); ++s)
+// A topology preset that prints as its name. gtest prints a bare Topology
+// parameter as a byte dump that includes heap addresses, which would put
+// addresses into the test ids ctest discovers and change them every build.
+struct TopologyPreset {
+  const char* name;
+  hw::Topology (*make)();
+};
+
+void PrintTo(const TopologyPreset& preset, std::ostream* os) {
+  *os << preset.name;
+}
+
+class SocketPolicyTest : public ::testing::TestWithParam<TopologyPreset> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, SocketPolicyTest,
+    ::testing::Values(
+        TopologyPreset{"SingleSocket4",
+                       [] { return hw::Topology::SingleSocket(4); }},
+        TopologyPreset{"Cube2x2", [] { return hw::Topology::Cube(2, 2); }},
+        TopologyPreset{"TwistedCube8x10",
+                       [] { return hw::Topology::TwistedCube8x10(); }}));
+
+TEST_P(SocketPolicyTest, LocalResolvesToRequestingSocket) {
+  const hw::Topology topo = GetParam().make();
+  IslandAllocator alloc(topo, {.policy = PlacementPolicy::kLocal});
+  for (int s = 0; s < topo.num_sockets(); ++s)
     EXPECT_EQ(alloc.Resolve(s), s);
 }
 
-TEST_P(PolicyTest, CentralResolvesToCentralSocket) {
-  IslandAllocator alloc(GetParam(), {.policy = PlacementPolicy::kCentral,
-                                     .central_socket = 0});
-  for (int s = 0; s < GetParam().num_sockets(); ++s)
+TEST_P(SocketPolicyTest, CentralResolvesToCentralSocket) {
+  const hw::Topology topo = GetParam().make();
+  IslandAllocator alloc(topo, {.policy = PlacementPolicy::kCentral,
+                               .central_socket = 0});
+  for (int s = 0; s < topo.num_sockets(); ++s)
     EXPECT_EQ(alloc.Resolve(s), 0);
 }
 

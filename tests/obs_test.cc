@@ -27,14 +27,18 @@
 
 // ---- allocation instrumentation (whole test binary) ------------------------
 // Counts every operator-new in the process so the trace-off/metrics-off
-// hot-path test can assert zero allocations across a recording loop.
+// hot-path test can assert zero allocations across a recording loop. A
+// thread that sets t_uncounted is left out, so a test can drive the
+// engine from its own (allocating) client thread and still assert that
+// the engine's worker threads allocate nothing.
 
 namespace {
 std::atomic<uint64_t> g_allocs{0};
+thread_local bool t_uncounted = false;
 }  // namespace
 
 void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (!t_uncounted) g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -391,6 +395,47 @@ TEST(EngineObsTest, StatsSnapshotExposesTheWiredFields) {
               std::string::npos);
     EXPECT_NE(text.find("atrapos_log_bytes"), std::string::npos);
   }
+}
+
+TEST(EngineObsTest, SteadyStateInterleavedDrainAllocatesNothing) {
+  hw::Topology topo = hw::Topology::SingleSocket(2);
+  Database db({.topo = topo});
+  const uint64_t rows = 2048;
+  db.AddTable(MicroTable(rows, {0}));
+  PartitionedExecutor::Options o;
+  o.interleave_depth = 4;
+  o.hw_counters = false;
+  PartitionedExecutor exec(&db, topo, OneTableScheme(rows, 1), o);
+  // Single-stage no-op graphs: the worker's whole path is drain, K=4
+  // warm pipelines (pooled coroutine frames), body and completion — no
+  // RVP fan-out, no log.
+  auto wave = [&](uint64_t base) {
+    std::vector<ActionGraph> graphs;
+    for (uint64_t i = 0; i < 64; ++i) {
+      ActionGraph g;
+      g.Add(0, (base + i * 31) % rows,
+            [](storage::Table*, ActionCtx&) { return Status::OK(); });
+      graphs.push_back(std::move(g));
+    }
+    auto fs = exec.SubmitBatch(graphs);
+    ASSERT_TRUE(fs.ok());
+    for (auto& f : fs.value()) ASSERT_TRUE(f.Wait().ok());
+  };
+  // Warm up: registry shards, frame and chunk pools, the slot ring.
+  for (uint64_t w = 0; w < 20; ++w) wave(w);
+  const uint64_t hops = db.StatsSnapshot().counter(
+      CounterId::kInterleaveSuspensions);
+  // Measured: this (client) thread's allocations are left out; any other
+  // allocation in the window is the engine's.
+  t_uncounted = true;
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (uint64_t w = 20; w < 60; ++w) wave(w);
+  const uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  t_uncounted = false;
+  EXPECT_EQ(after, before) << "steady-state K=4 drain allocated";
+  EXPECT_GT(db.StatsSnapshot().counter(CounterId::kInterleaveSuspensions),
+            hops)
+      << "the measured waves did not take the interleaved path";
 }
 
 TEST(EngineObsTest, CommitLatencyQuantilesAreOrdered) {

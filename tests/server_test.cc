@@ -18,6 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "engine/database.h"
 #include "engine/partitioned_executor.h"
@@ -235,6 +236,66 @@ TEST(ServerTest, WindowOverrunShedsDeterministically) {
   EXPECT_EQ(other.load(), 0);
   obs::StatsSnapshot snap = s.db->StatsSnapshot();
   EXPECT_EQ(snap.counter(obs::CounterId::kNetTxnsShed), 12u);
+}
+
+TEST(ServerTest, ClientHoldingExactlyItsWindowIsNeverShed) {
+  // A client that reuses a window slot the moment it reads the ack must
+  // find the slot free on the server: the server releases the slot before
+  // queueing the response, not after. Several clients on several
+  // connections keep exactly the granted window in flight while the
+  // engine repartitions underneath them; not one request may be shed.
+  Server::Options sopt;
+  sopt.max_window = 2;
+  Service s(sopt, hw::Topology::Cube(1, 2));
+  constexpr int kClients = 4;
+  constexpr int kPerConn = 1500;
+  std::atomic<int> ok{0}, shed{0}, other{0};
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    for (int i = 0; !done.load(); ++i) {
+      core::Scheme target = TatpScheme(Service::kSubscribers, 2);
+      if (i % 2 == 0)
+        for (auto& ts : target.tables) ts.placement = {1, 0};
+      ASSERT_TRUE(s.exec->Repartition(target).ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int id = 0; id < kClients; ++id) {
+    clients.emplace_back([&, id] {
+      Client::Options copt = s.ClientOpts();
+      copt.connections = 2;
+      copt.window = 2;  // exactly the grant
+      copt.batch = 1;
+      Client c(copt);
+      ASSERT_TRUE(c.Connect().ok());
+      ASSERT_EQ(c.granted_window(0), 2u);
+      Rng rng(static_cast<uint64_t>(id) + 21);
+      for (int i = 0; i < kPerConn; ++i) {
+        for (int conn = 0; conn < 2; ++conn) {
+          ASSERT_TRUE(c.Submit(conn, DrawTatpMix(rng, Service::kSubscribers),
+                               [&](WireStatus ws) {
+                                 if (ws == WireStatus::kOverloaded)
+                                   ++shed;
+                                 else if (WireCountsAsSuccess(ws))
+                                   ++ok;
+                                 else
+                                   ++other;
+                               })
+                          .ok());
+        }
+      }
+      c.FlushAll();
+      while (c.outstanding() > 0) c.Poll(-1);
+    });
+  }
+  for (auto& t : clients) t.join();
+  done = true;
+  churn.join();
+  EXPECT_EQ(shed.load(), 0);
+  EXPECT_EQ(other.load(), 0);
+  EXPECT_EQ(ok.load(), kClients * 2 * kPerConn);
+  EXPECT_EQ(s.db->StatsSnapshot().counter(obs::CounterId::kNetTxnsShed), 0u);
 }
 
 TEST(ServerTest, GlobalInflightCapShedsInsteadOfQueueing) {
