@@ -1,6 +1,6 @@
-// google-benchmark microbenchmarks of the building blocks: centralized vs
-// partitioned transaction lists and rwlocks (real threads, paper §IV), the
-// multi-rooted B-tree, the cost model, and the partitioning search.
+// google-benchmark microbenchmarks of the building blocks: the B-tree and
+// the multi-rooted B-tree, the partition monitor, the cost model, and the
+// partitioning search.
 #include <benchmark/benchmark.h>
 
 #include "core/cost_model.h"
@@ -8,54 +8,12 @@
 #include "core/search.h"
 #include "storage/btree.h"
 #include "storage/mrbtree.h"
-#include "sync/partitioned_rwlock.h"
-#include "txn/txn_list.h"
 #include "util/rng.h"
 #include "workload/micro.h"
 #include "workload/tatp.h"
 
 namespace atrapos {
 namespace {
-
-void BM_CentralizedTxnList_AddRemove(benchmark::State& state) {
-  txn::CentralizedTxnList list;
-  txn::TxnId id = 1;
-  for (auto _ : state) {
-    txn::TxnNode* n = list.Add(id++, 0);
-    list.Remove(n, 0);
-  }
-}
-BENCHMARK(BM_CentralizedTxnList_AddRemove)->Threads(1)->Threads(4);
-
-void BM_PartitionedTxnList_AddRemove(benchmark::State& state) {
-  static txn::PartitionedTxnList list(8);
-  txn::TxnId id = 1;
-  auto socket = static_cast<hw::SocketId>(state.thread_index() % 8);
-  for (auto _ : state) {
-    txn::TxnNode* n = list.Add(id++, socket);
-    list.Remove(n, socket);
-  }
-}
-BENCHMARK(BM_PartitionedTxnList_AddRemove)->Threads(1)->Threads(4);
-
-void BM_PartitionedRWLock_SharedAcquire(benchmark::State& state) {
-  static sync::PartitionedRWLock lock(8);
-  auto socket = static_cast<hw::SocketId>(state.thread_index() % 8);
-  for (auto _ : state) {
-    lock.LockShared(socket);
-    lock.UnlockShared(socket);
-  }
-}
-BENCHMARK(BM_PartitionedRWLock_SharedAcquire)->Threads(1)->Threads(4);
-
-void BM_SharedMutex_SharedAcquire(benchmark::State& state) {
-  static std::shared_mutex mu;
-  for (auto _ : state) {
-    mu.lock_shared();
-    mu.unlock_shared();
-  }
-}
-BENCHMARK(BM_SharedMutex_SharedAcquire)->Threads(1)->Threads(4);
 
 void BM_BTree_Insert(benchmark::State& state) {
   storage::BPlusTree bt;

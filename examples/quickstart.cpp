@@ -1,5 +1,6 @@
-// Quickstart: create a database, run ACID transactions, inspect the WAL,
-// then submit a transaction flow graph to the partitioned executor.
+// Quickstart: create a database, load a table, then run an atomic transfer
+// as a transaction flow graph on the partitioned executor with group
+// commit, and inspect the per-partition log it wrote.
 //
 // Build & run:   cmake -B build -G Ninja && cmake --build build
 //                ./build/examples/quickstart
@@ -8,14 +9,14 @@
 
 #include "engine/database.h"
 #include "engine/partitioned_executor.h"
+#include "log/log_manager.h"
 #include "storage/table.h"
 
 using namespace atrapos;
 
 int main() {
-  // A database with ATraPos-style NUMA-aware system state (per-socket
-  // transaction lists, partitioned volume lock, island-local memory
-  // arenas) for a 2-socket machine.
+  // The database hosts the engine's resources — tables, island-local
+  // memory arenas, metrics — for a 2-socket machine.
   engine::Database db({.topo = hw::Topology::Cube(1, 2)});
 
   // Define a table: accounts(id, owner, balance), range-partitioned at 500.
@@ -26,64 +27,41 @@ int main() {
       std::make_unique<storage::Table>(0, "accounts", schema,
                                        std::vector<uint64_t>{0, 500}));
 
-  // Load 1000 accounts with balance 100.
+  // Load 1000 accounts with balance 100, straight into the table (before
+  // any executor runs, nothing else touches it).
+  storage::Table* table = db.table(accounts);
   for (uint64_t id = 0; id < 1000; ++id) {
-    auto txn = db.Begin();
-    storage::Tuple row(&db.table(accounts)->schema());
+    storage::Tuple row(&table->schema());
     row.SetInt(0, static_cast<int64_t>(id));
     row.SetString(1, "acct-" + std::to_string(id));
     row.SetInt(2, 100);
-    if (!db.Insert(&txn, accounts, id, row).ok()) return 1;
-    if (!db.Commit(&txn).ok()) return 1;
+    if (!table->Insert(id, row).ok()) return 1;
   }
   std::printf("loaded %llu accounts\n",
-              static_cast<unsigned long long>(db.table(accounts)->num_rows()));
-
-  // Transfer 25 from account 1 to account 900 — atomically, with automatic
-  // wait-die retry.
-  Status s = db.RunTransaction([&](engine::Database::Txn* txn) {
-    storage::Tuple from, to;
-    ATRAPOS_RETURN_NOT_OK(db.ReadForUpdate(txn, accounts, 1, &from));
-    ATRAPOS_RETURN_NOT_OK(db.ReadForUpdate(txn, accounts, 900, &to));
-    from.SetInt(2, from.GetInt(2) - 25);
-    to.SetInt(2, to.GetInt(2) + 25);
-    ATRAPOS_RETURN_NOT_OK(db.Update(txn, accounts, 1, from));
-    return db.Update(txn, accounts, 900, to);
-  });
-  std::printf("transfer: %s\n", s.ToString().c_str());
-
-  // Read both balances back.
-  auto txn = db.Begin();
-  storage::Tuple a, b;
-  (void)db.Read(&txn, accounts, 1, &a);
-  (void)db.Read(&txn, accounts, 900, &b);
-  (void)db.Commit(&txn);
-  std::printf("balance(1) = %lld, balance(900) = %lld\n",
-              static_cast<long long>(a.GetInt(2)),
-              static_cast<long long>(b.GetInt(2)));
-
-  std::printf("WAL records written: %llu (durable LSN %llu)\n",
-              static_cast<unsigned long long>(db.wal().num_records()),
-              static_cast<unsigned long long>(db.wal().durable_lsn()));
-  std::printf("active transactions at checkpoint: %llu\n",
-              static_cast<unsigned long long>(db.Checkpoint()));
+              static_cast<unsigned long long>(table->num_rows()));
 
   // ---- The flow-graph API: asynchronous, routed, staged --------------------
-  // The same transfer as above, expressed as an ActionGraph on the
-  // partitioned executor: stage 1 reads both balances on their owning
-  // partition workers (accounts < 500 and >= 500 live on different
-  // workers), the rendezvous point joins the payloads, and stage 2 applies
-  // both writes. Submit() returns a future immediately — a single client
-  // thread can keep many such graphs in flight.
+  // Partition [0, 500) runs on core 0 (socket 0) and [500, ...) on core 2
+  // (socket 1), each drained by that core's worker thread. Under group
+  // commit every partition logs into its own shard, and a transaction is
+  // acknowledged once its commit markers are durable on every shard it
+  // touched.
+  engine::PartitionedExecutor::Options opt;
+  opt.durability = engine::DurabilityMode::kGroup;
   engine::PartitionedExecutor exec(&db, db.topology(), [&] {
     core::Scheme scheme;
     core::TableScheme ts;
     ts.boundaries = {0, 500};
-    ts.placement = {0, 1};
+    ts.placement = {0, 2};
     scheme.tables.push_back(ts);
     return scheme;
-  }());
+  }(), opt);
 
+  // Transfer 25 from account 1 to account 900: stage 1 reads both
+  // balances on their owning partition workers, the rendezvous point
+  // joins the payloads, and stage 2 applies both writes. Submit() returns
+  // a future immediately — a single client thread can keep many such
+  // graphs in flight.
   engine::ActionGraph transfer;
   size_t read_from = transfer.Add(
       accounts, 1, [](storage::Table* t, engine::ActionCtx& ctx) {
@@ -117,13 +95,27 @@ int main() {
 
   auto future = exec.Submit(std::move(transfer));
   if (!future.ok()) return 1;
-  std::printf("flow-graph transfer: %s\n",
-              future.value().Wait().ToString().c_str());
-  storage::Tuple a2, b2;
-  (void)db.table(accounts)->Read(1, &a2);
-  (void)db.table(accounts)->Read(900, &b2);
+  std::printf("transfer: %s\n", future.value().Wait().ToString().c_str());
+
+  storage::Tuple a, b;
+  (void)table->Read(1, &a);
+  (void)table->Read(900, &b);
   std::printf("balance(1) = %lld, balance(900) = %lld\n",
-              static_cast<long long>(a2.GetInt(2)),
-              static_cast<long long>(b2.GetInt(2)));
+              static_cast<long long>(a.GetInt(2)),
+              static_cast<long long>(b.GetInt(2)));
+
+  // The acknowledged commit is durable: its epoch is at or below the
+  // durable-epoch watermark, and each shard's durable LSN covers its
+  // records.
+  log::LogManager* wal = exec.log_manager();
+  log::DurablePoint durable = wal->durable_point();
+  std::printf("log records written: %llu in %zu shards (durable epoch %llu)\n",
+              static_cast<unsigned long long>(wal->num_records()),
+              wal->num_shards(),
+              static_cast<unsigned long long>(durable.epoch));
+  for (size_t i = 0; i < durable.shard_lsns.size(); ++i) {
+    std::printf("  shard %zu durable LSN %llu\n", i,
+                static_cast<unsigned long long>(durable.shard_lsns[i]));
+  }
   return 0;
 }

@@ -1,29 +1,13 @@
 #include "engine/database.h"
 
 #include <cstdio>
-#include <thread>
-
-#include "hw/binding.h"
 
 namespace atrapos::engine {
 
 Database::Database(Options opt)
     : opt_(std::move(opt)),
       obs_(std::make_unique<obs::Registry>(opt_.obs)),
-      mem_(opt_.topo, opt_.mem),
-      wal_(log::LogManager::Options{
-          .flush_interval_us = opt_.wal_flush_interval_us,
-          .registry = obs_.get()}),
-      volume_lock_(num_sockets()) {
-  // The shared-everything transaction API keeps the centralized 1-shard
-  // log (the retired WriteAheadLog protocol); its buffer chunks come from
-  // socket 0's arena like any other centralized structure.
-  wal_.EnsureCentralShard(mem_.arena(0));
-  if (opt_.partitioned_state) {
-    txn_list_ = std::make_unique<txn::PartitionedTxnList>(num_sockets());
-  } else {
-    txn_list_ = std::make_unique<txn::CentralizedTxnList>();
-  }
+      mem_(opt_.topo, opt_.mem) {
   if (opt_.sampler.enabled) {
     sampler_ = std::make_unique<obs::Sampler>(
         [this] { return StatsSnapshot(); }, opt_.sampler);
@@ -60,104 +44,6 @@ int Database::AddTable(std::unique_ptr<storage::Table> table) {
   return static_cast<int>(tables_.size()) - 1;
 }
 
-Database::Txn Database::Begin(txn::TxnId reuse_id) {
-  Txn t;
-  t.id = reuse_id != 0 ? reuse_id
-                       : next_txn_.fetch_add(1, std::memory_order_relaxed);
-  hw::SocketId s = hw::CurrentPlacement().socket;
-  t.socket = (s >= 0 && s < num_sockets()) ? s : 0;
-  volume_lock_.LockShared(t.socket);
-  t.node = txn_list_->Add(t.id, t.socket);
-  volume_lock_.UnlockShared(t.socket);
-  wal_.Append(t.id, txn::LogType::kBegin);
-  t.open = true;
-  return t;
-}
-
-Status Database::Read(Txn* txn, int table, uint64_t key,
-                      storage::Tuple* out) {
-  ATRAPOS_RETURN_NOT_OK(locks_.Acquire(txn->id, txn::MakeLockId(table, key),
-                                       txn::LockMode::kShared));
-  return tables_[static_cast<size_t>(table)]->Read(key, out);
-}
-
-Status Database::ReadForUpdate(Txn* txn, int table, uint64_t key,
-                               storage::Tuple* out) {
-  ATRAPOS_RETURN_NOT_OK(locks_.Acquire(txn->id, txn::MakeLockId(table, key),
-                                       txn::LockMode::kExclusive));
-  return tables_[static_cast<size_t>(table)]->Read(key, out);
-}
-
-Status Database::Update(Txn* txn, int table, uint64_t key,
-                        const storage::Tuple& row) {
-  ATRAPOS_RETURN_NOT_OK(locks_.Acquire(txn->id, txn::MakeLockId(table, key),
-                                       txn::LockMode::kExclusive));
-  ATRAPOS_RETURN_NOT_OK(tables_[static_cast<size_t>(table)]->Update(key, row));
-  wal_.Append(txn->id, txn::LogType::kUpdate, static_cast<uint64_t>(table),
-              key);
-  txn->wrote = true;
-  return Status::OK();
-}
-
-Status Database::Insert(Txn* txn, int table, uint64_t key,
-                        const storage::Tuple& row) {
-  ATRAPOS_RETURN_NOT_OK(locks_.Acquire(txn->id, txn::MakeLockId(table, key),
-                                       txn::LockMode::kExclusive));
-  ATRAPOS_RETURN_NOT_OK(tables_[static_cast<size_t>(table)]->Insert(key, row));
-  wal_.Append(txn->id, txn::LogType::kInsert, static_cast<uint64_t>(table),
-              key);
-  txn->wrote = true;
-  return Status::OK();
-}
-
-Status Database::Delete(Txn* txn, int table, uint64_t key) {
-  ATRAPOS_RETURN_NOT_OK(locks_.Acquire(txn->id, txn::MakeLockId(table, key),
-                                       txn::LockMode::kExclusive));
-  ATRAPOS_RETURN_NOT_OK(tables_[static_cast<size_t>(table)]->Delete(key));
-  wal_.Append(txn->id, txn::LogType::kDelete, static_cast<uint64_t>(table),
-              key);
-  txn->wrote = true;
-  return Status::OK();
-}
-
-Status Database::Commit(Txn* txn) {
-  if (!txn->open) return Status::InvalidArgument("transaction not open");
-  if (txn->wrote) {
-    wal_.Commit(txn->id);  // append + wait durable (group commit)
-  } else {
-    wal_.Append(txn->id, txn::LogType::kCommit);
-  }
-  locks_.ReleaseAll(txn->id);
-  txn_list_->Remove(txn->node, txn->socket);
-  txn->open = false;
-  return Status::OK();
-}
-
-void Database::Abort(Txn* txn) {
-  if (!txn->open) return;
-  wal_.Append(txn->id, txn::LogType::kAbort);
-  locks_.ReleaseAll(txn->id);
-  txn_list_->Remove(txn->node, txn->socket);
-  txn->open = false;
-}
-
-Status Database::RunTransaction(const std::function<Status(Txn*)>& fn,
-                                int max_retries) {
-  txn::TxnId id = 0;
-  for (int attempt = 0; attempt < max_retries; ++attempt) {
-    Txn t = Begin(id);
-    id = t.id;  // restarts keep the original wait-die timestamp
-    Status s = fn(&t);
-    if (s.ok()) return Commit(&t);
-    Abort(&t);
-    if (!s.IsRetryableAbort()) return s;
-    // Brief backoff so the conflicting older transaction can finish.
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(std::min(20 * (attempt + 1), 500)));
-  }
-  return Status::DeadlockAbort("retries exhausted");
-}
-
 void Database::RegisterDrainable(Drainable* d) {
   std::lock_guard lk(drain_mu_);
   drainables_.push_back(d);
@@ -185,16 +71,6 @@ void Database::Drain() {
   // A cannot sneak a new submission into already-drained executor B.
   for (Drainable* d : ds) d->SealIntake();
   for (Drainable* d : ds) d->Drain();
-}
-
-uint64_t Database::Checkpoint() {
-  sync::ExclusiveGuard g(volume_lock_);
-  uint64_t n = 0;
-  txn_list_->ForEach([&](txn::TxnId) { ++n; });
-  // The active-txn count rides in the key slot: the first Append argument
-  // lands in the record's u16 table field on the v2 wire format.
-  wal_.Append(0, txn::LogType::kCheckpoint, 0, n);
-  return n;
 }
 
 }  // namespace atrapos::engine

@@ -1,32 +1,22 @@
-// The real-thread storage manager facade: a shared-everything database with
-// ACID-ish transactions over the storage/txn substrates. This is the
-// "MiniShore" used by the examples and integration tests; the benchmark
-// figures run on the deterministic simulated engines instead (DESIGN.md §1).
-//
-// Concurrency control: strict two-phase locking with wait-die; durability:
-// the log subsystem's centralized 1-shard configuration (the retired
-// txn::WriteAheadLog's group-commit protocol behind the same interface —
-// per-record appends, blocking Commit); system state: the
-// active-transaction list in either flavor (centralized or per-socket —
-// paper §IV). The partitioned executor runs its own per-partition log
-// shards instead (see src/log/ and PartitionedExecutor::Options).
+// The engine's resource host: the topology, the tables, the island-aware
+// allocator, the observability registry and sampler, and the registry of
+// executors to drain at shutdown. Transactions do not run here — they run
+// as ActionGraphs on the partitions' owning cores (PartitionedExecutor),
+// which keep their own per-partition log shards (see src/log/). There is
+// no lock manager, transaction list or central log in this object: those
+// are the shared-everything structures ATraPos removes (paper §IV).
 #pragma once
 
-#include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "hw/topology.h"
-#include "log/log_manager.h"
 #include "mem/island_allocator.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "storage/table.h"
-#include "sync/partitioned_rwlock.h"
-#include "txn/lock_manager.h"
-#include "txn/txn_list.h"
-#include "util/status.h"
 
 namespace atrapos::engine {
 
@@ -38,14 +28,10 @@ class Database {
   using MemoryOptions = mem::IslandAllocator::Options;
 
   struct Options {
-    /// The machine the database runs on; sockets drive both the per-socket
-    /// system state partitioning and the island arenas.
+    /// The machine the database runs on; its sockets are the islands the
+    /// allocator keeps one arena for.
     hw::Topology topo = hw::Topology::SingleSocket(1);
-    /// Use per-socket transaction lists + partitioned volume lock (ATraPos
-    /// §IV) instead of centralized ones.
-    bool partitioned_state = true;
     MemoryOptions mem;
-    uint64_t wal_flush_interval_us = 50;
     /// Observability: per-worker metrics registry (on by default) and
     /// transaction lifecycle tracing (off by default; near-zero cost when
     /// off). See obs/registry.h.
@@ -65,51 +51,6 @@ class Database {
     return tables_[static_cast<size_t>(idx)].get();
   }
   size_t num_tables() const { return tables_.size(); }
-
-  /// A transaction handle. Obtain with Begin(); finish with Commit/Abort.
-  struct Txn {
-    txn::TxnId id = 0;
-    txn::TxnNode* node = nullptr;
-    hw::SocketId socket = 0;
-    bool wrote = false;
-    bool open = false;
-  };
-
-  /// Starts a transaction on the calling thread (socket taken from the
-  /// thread's placement; see hw::BindCurrentThread). `reuse_id` restarts an
-  /// aborted transaction with its original wait-die timestamp — the
-  /// textbook rule that makes wait-die starvation-free.
-  Txn Begin(txn::TxnId reuse_id = 0);
-
-  // All data operations lock first (S for reads, X for writes), then touch
-  // the table; locks are held until Commit/Abort (strict 2PL). A
-  // DeadlockAbort status means the caller must Abort() and may retry.
-  Status Read(Txn* txn, int table, uint64_t key, storage::Tuple* out);
-  /// Read with update intent: takes the X lock up front, avoiding the
-  /// S->X upgrade storms wait-die is prone to in read-modify-write loops.
-  Status ReadForUpdate(Txn* txn, int table, uint64_t key,
-                       storage::Tuple* out);
-  Status Update(Txn* txn, int table, uint64_t key, const storage::Tuple& row);
-  Status Insert(Txn* txn, int table, uint64_t key, const storage::Tuple& row);
-  Status Delete(Txn* txn, int table, uint64_t key);
-
-  /// Commits: forces the commit record (group commit), releases locks,
-  /// leaves the active list.
-  Status Commit(Txn* txn);
-  /// Aborts: releases locks, leaves the active list. (Updates are not
-  /// rolled back — callers in this library use abort only for deadlock
-  /// retry before any write, as the tests assert.)
-  void Abort(Txn* txn);
-
-  /// Runs `fn` as a transaction with automatic wait-die retry.
-  Status RunTransaction(const std::function<Status(Txn*)>& fn,
-                        int max_retries = 10);
-
-  uint64_t active_transactions() const { return txn_list_->ActiveCount(); }
-  /// The database's write-ahead log: a log::LogManager in the centralized
-  /// 1-shard configuration, preserving the retired WAL's interface
-  /// (Append / Commit / WaitDurable / durable_lsn / num_records).
-  log::LogManager& wal() { return wal_; }
 
   /// The island-aware allocator owning one arena per socket; the executor
   /// uses it to place partition state, benchmarks read its AllocStats.
@@ -146,11 +87,6 @@ class Database {
   bool DumpTimeSeries(const std::string& path) const;
   const hw::Topology& topology() const { return opt_.topo; }
   int num_sockets() const { return opt_.topo.num_sockets(); }
-
-  /// Checkpoint: takes the volume lock exclusively (all socket partitions),
-  /// scans the active list, and writes a checkpoint record. Returns the
-  /// number of active transactions observed.
-  uint64_t Checkpoint();
 
   // ---- shutdown ordering ---------------------------------------------------
   // The safe stop sequence for anything that submits into an executor from
@@ -191,11 +127,6 @@ class Database {
   std::unique_ptr<obs::Registry> obs_;
   mem::IslandAllocator mem_;
   std::vector<std::unique_ptr<storage::Table>> tables_;
-  txn::LockManager locks_;
-  log::LogManager wal_;
-  std::unique_ptr<txn::ActiveTxnList> txn_list_;
-  sync::PartitionedRWLock volume_lock_;
-  std::atomic<txn::TxnId> next_txn_{1};
   std::mutex drain_mu_;
   std::vector<Drainable*> drainables_;  // guarded by drain_mu_
   /// Last member: the sampler's scrape thread calls StatsSnapshot(), so it

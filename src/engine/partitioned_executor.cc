@@ -43,7 +43,7 @@ class WorkerLogObserver : public storage::MutationObserver {
   void OnInsert(storage::TableId table, uint64_t key, storage::Rid rid,
                 const storage::Tuple& row) override {
     if (!Touch()) return;
-    writer_->Add(st_->txn_id, txn::LogType::kInsert,
+    writer_->Add(st_->txn_id, log::LogType::kInsert,
                  static_cast<uint32_t>(table), key, rid.Encode(), row.data(),
                  row.size());
   }
@@ -51,7 +51,7 @@ class WorkerLogObserver : public storage::MutationObserver {
                 const uint8_t* before, const storage::Tuple& after) override {
     if (!Touch()) return;
     if (!diff_updates_) {
-      writer_->Add(st_->txn_id, txn::LogType::kUpdate,
+      writer_->Add(st_->txn_id, log::LogType::kUpdate,
                    static_cast<uint32_t>(table), key, rid.Encode(),
                    after.data(), after.size());
       return;
@@ -72,7 +72,7 @@ class WorkerLogObserver : public storage::MutationObserver {
   void OnDelete(storage::TableId table, uint64_t key,
                 storage::Rid rid) override {
     if (!Touch()) return;
-    writer_->Add(st_->txn_id, txn::LogType::kDelete,
+    writer_->Add(st_->txn_id, log::LogType::kDelete,
                  static_cast<uint32_t>(table), key, rid.Encode(), nullptr, 0);
   }
   bool WantsBeforeImage() const override { return diff_updates_; }
@@ -417,7 +417,7 @@ void PartitionedExecutor::WorkerLoop(Worker* w) {
   // records exactly as a dedicated one would. The staged batch's records
   // (and the commit markers routed to the partition) are appended to its
   // shard with one reservation per batch; the centralized configuration
-  // appends per record instead (the retired WAL's protocol). A deque
+  // appends per record instead (a central log's protocol). A deque
   // keeps each observer's writer pointer stable.
   struct Lane {
     explicit Lane(Partition* part) : p(part), tally(*part->monitor) {}
@@ -975,7 +975,7 @@ void PartitionedExecutor::FinishTxn(internal::TxnState* st, Status s) {
     // does not matter for an abort decision.
     log::PendingRecord r;
     r.txn = st->txn_id;
-    r.type = txn::LogType::kAbort;
+    r.type = log::LogType::kAbort;
     if (opt_.log_shards == 1) {
       // All partitions share the central shard; one record decides.
       central_shard_->AppendOne(r, nullptr, nullptr);
@@ -988,18 +988,18 @@ void PartitionedExecutor::FinishTxn(internal::TxnState* st, Status s) {
     return;
   }
   if (opt_.log_shards == 1) {
-    // Centralized compat — the retired WriteAheadLog's commit: one marker
+    // Centralized log — a shared-everything WAL's commit: one marker
     // in the single shard (all data records already hit it per-record),
     // and under kGroup the completing worker blocks in the group-commit
     // window, exactly the stall the per-partition design eliminates.
     log::CommitTicket* ticket = log_->BeginCommit(1, nullptr, false);
     log::PendingRecord r;
     r.txn = st->txn_id;
-    r.type = txn::LogType::kCommit;
+    r.type = log::LogType::kCommit;
     r.epoch = ticket->epoch;
     r.marker_expected = 1;
     r.ticket = ticket;
-    txn::Lsn lsn = central_shard_->AppendOne(r, nullptr, nullptr);
+    log::Lsn lsn = central_shard_->AppendOne(r, nullptr, nullptr);
     if (opt_.durability == DurabilityMode::kGroup)
       central_shard_->WaitDurable(lsn);
     CompleteTxn(st, std::move(s));

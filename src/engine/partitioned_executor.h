@@ -95,10 +95,10 @@ class PartitionedExecutor : public Database::Drainable {
     DurabilityMode durability = DurabilityMode::kOff;
     /// 0 = one log shard per partition, placed on the owner island and
     /// reassigned with it on Repartition. 1 = a single centralized shard
-    /// running the retired txn::WriteAheadLog protocol (per-record
-    /// appends under one mutex; under kGroup the completing worker blocks
-    /// in the flush window like the old Commit did) — the baseline the
-    /// paper's Fig. 4 logging slice measures against.
+    /// run as a shared-everything write-ahead log (per-record appends
+    /// under one mutex; under kGroup the completing worker blocks in the
+    /// flush window) — the baseline the paper's Fig. 4 logging slice
+    /// measures against.
     int log_shards = 0;
     uint64_t log_flush_interval_us = 50;
     /// Log record serialization: kCompactDiffV2 (default) writes compact
@@ -358,7 +358,7 @@ class PartitionedExecutor : public Database::Drainable {
   /// after appending abort markers), otherwise runs the commit protocol —
   /// publish one marker per touched partition and defer CompleteTxn to
   /// the commit ack (per-partition shards), or append the single marker
-  /// and optionally block in the flush window (centralized compat).
+  /// and optionally block in the flush window (centralized log).
   void FinishTxn(internal::TxnState* st, Status s);
 
   /// log::LogManager ack: cookie is the TxnState whose commit markers

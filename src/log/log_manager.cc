@@ -189,7 +189,7 @@ std::vector<ShardSnapshot> LogManager::SnapshotDurable() const {
   return out;
 }
 
-// ---- centralized compat -----------------------------------------------------
+// ---- centralized configuration ----------------------------------------------
 
 void LogManager::EnsureCentralShard(mem::Arena* arena) {
   {
@@ -197,42 +197,6 @@ void LogManager::EnsureCentralShard(mem::Arena* arena) {
     if (!shards_.empty()) return;
   }
   AddShard(nullptr, arena);
-}
-
-Lsn LogManager::Append(TxnId txn, LogType type, uint64_t a, uint64_t b) {
-  LogShard* s = ActiveShard(0);
-  if (s == nullptr) return 0;
-  PendingRecord r;
-  r.txn = txn;
-  r.type = type;
-  r.table = static_cast<uint32_t>(a);
-  r.key = b;
-  return s->AppendOne(r, nullptr, nullptr);
-}
-
-Lsn LogManager::Commit(TxnId txn) {
-  LogShard* s = ActiveShard(0);
-  if (s == nullptr) return 0;
-  CommitTicket* t = BeginCommit(1, nullptr, false);
-  PendingRecord r;
-  r.txn = txn;
-  r.type = LogType::kCommit;
-  r.epoch = t->epoch;
-  r.marker_expected = 1;
-  r.ticket = t;
-  Lsn lsn = s->AppendOne(r, nullptr, nullptr);
-  Lsn durable = s->WaitDurable(lsn);
-  return durable >= lsn ? lsn : durable;
-}
-
-Lsn LogManager::WaitDurable(Lsn lsn) {
-  LogShard* s = ActiveShard(0);
-  return s == nullptr ? 0 : s->WaitDurable(lsn);
-}
-
-Lsn LogManager::durable_lsn() const {
-  std::lock_guard lk(shards_mu_);
-  return shards_.empty() ? 0 : shards_.front()->durable_lsn();
 }
 
 uint64_t LogManager::num_records() const {

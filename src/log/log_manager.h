@@ -1,18 +1,18 @@
 // LogManager: the island-partitioned durability subsystem's front door.
 //
-// Owns one LogShard per partition (executor configuration) or a single
-// centralized shard (the retired txn::WriteAheadLog's protocol, kept
-// behind the same interface for Database and for the contention
-// comparison benches). A background group-commit flusher advances every
-// shard's durable LSN each window and settles commit tickets; commit acks
-// are asynchronous — the flusher (group mode) or the appending worker
-// (async mode) notifies the registered CommitSink, and no worker ever
-// blocks on a flush window.
+// Owns one LogShard per partition (the executor's default configuration)
+// or a single centralized shard (PartitionedExecutor::Options::log_shards
+// = 1, the shared-log baseline of the paper's Fig. 4 logging slice). A
+// background group-commit flusher advances every shard's durable LSN each
+// window and settles commit tickets; commit acks are asynchronous — the
+// flusher (group mode) or the appending worker (async mode) notifies the
+// registered CommitSink, and no per-partition worker ever blocks on a
+// flush window.
 //
 // The durable point is distributed: a vector of per-shard LSNs plus a
 // commit-epoch watermark. Epochs are drawn from one global counter at
 // commit time (an atomic increment — the only shared write on the commit
-// path, vs the retired WAL's mutex per record); the watermark advances
+// path, vs a central log's mutex per record); the watermark advances
 // once every transaction with a smaller epoch is durable on every shard
 // it touched.
 //
@@ -118,8 +118,8 @@ class LogManager {
   void FlushAll();
 
   /// Stops the flusher after a final FlushAll and freezes every shard's
-  /// durable point; post-stop WaitDurable/Commit return the last durable
-  /// LSN immediately. Idempotent; also run by the destructor.
+  /// durable point; a post-stop LogShard::WaitDurable returns the last
+  /// durable LSN immediately. Idempotent; also run by the destructor.
   void Stop();
 
   DurablePoint durable_point() const;
@@ -136,20 +136,15 @@ class LogManager {
   /// this instant would leave for log::Recover.
   std::vector<ShardSnapshot> SnapshotDurable() const;
 
-  // ---- centralized compat (the retired WriteAheadLog interface) ----------
+  // ---- centralized configuration -----------------------------------------
 
   /// Ensures the centralized 1-shard configuration exists (id 0). Called
-  /// by Database; a no-op when shards were already added.
+  /// by the executor under log_shards = 1; a no-op when shards were
+  /// already added.
   void EnsureCentralShard(mem::Arena* arena);
 
-  /// Appends one record to the central shard under its mutex — the
-  /// per-record path whose contention Fig. 4 measures.
-  Lsn Append(TxnId txn, LogType type, uint64_t a = 0, uint64_t b = 0);
-  /// Appends a commit marker and blocks until it is durable (or the
-  /// manager stopped — then returns the last durable LSN immediately).
-  Lsn Commit(TxnId txn);
-  Lsn WaitDurable(Lsn lsn);
-  Lsn durable_lsn() const;         ///< central shard's durable LSN
+  // ---- totals -------------------------------------------------------------
+
   uint64_t num_records() const;    ///< summed over all shards
   uint64_t bytes_logged() const;   ///< headers + payloads, all shards
   WireFormat wire() const { return opt_.wire; }

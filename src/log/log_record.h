@@ -1,10 +1,10 @@
 // Record and commit-protocol types of the island-partitioned durability
 // subsystem (src/log/).
 //
-// The subsystem replaces the single mutex-serialized txn::WriteAheadLog —
-// the last centralized structure in the engine, whose contention the paper
-// measures as the logging slice of Fig. 4 — with one LogShard per
-// partition, placed on the owning island. Shard records are self-contained
+// The subsystem replaces a single mutex-serialized write-ahead log — the
+// last centralized structure in a shared-everything engine, whose
+// contention the paper measures as the logging slice of Fig. 4 — with one
+// LogShard per partition, placed on the owning island. Shard records are self-contained
 // for recovery: data records carry the after-image of the row, commit
 // markers carry the transaction's commit epoch and the number of
 // partitions it touched, so replay can decide transaction fate without any
@@ -25,21 +25,30 @@
 #include <cstdint>
 #include <vector>
 
-#include "txn/wal.h"
-
 namespace atrapos::log {
 
-using txn::LogType;
-using txn::Lsn;
-using txn::TxnId;
+/// A record's position in its shard's log (per-shard, dense from 1).
+using Lsn = uint64_t;
+/// Transaction id as the log records it.
+using TxnId = uint64_t;
+
+/// Record type. The numeric values are part of both wire formats.
+enum class LogType : uint8_t {
+  kBegin,
+  kUpdate,
+  kInsert,
+  kDelete,
+  kCommit,
+  kAbort,
+};
 
 /// One commit's cross-shard completion state. Created by
 /// LogManager::BeginCommit; each appended marker decrements
 /// `remaining_append`, each flushed marker decrements `remaining_durable`.
 /// The ack fires at append-zero (fire_on_append, async mode) or
-/// durable-zero (group mode and the blocking compat path); the ticket is
-/// freed — and its epoch folded into the durable-epoch watermark — at
-/// durable-zero, which always happens last.
+/// durable-zero (group mode); the ticket is freed — and its epoch folded
+/// into the durable-epoch watermark — at durable-zero, which always
+/// happens last.
 struct CommitTicket {
   std::atomic<int> remaining_append;
   std::atomic<int> remaining_durable;
@@ -125,8 +134,8 @@ static_assert(sizeof(RecordHeader) == 48, "keep the v1 wire format stable");
 /// v2 record flags.
 inline constexpr uint8_t kRecFlagDiff = 0x1;  ///< payload is a partial diff
 
-/// v2 data-record header (insert/update/delete and the key-only compat
-/// records), followed by `image_size` payload bytes.
+/// v2 data-record header (insert/update/delete), followed by
+/// `image_size` payload bytes.
 struct DataHeaderV2 {
   uint8_t type = 0;
   uint8_t flags = 0;

@@ -6,16 +6,15 @@
 // are lock-minimized in the spirit of mpsc_queue.h: a worker stages the
 // records of a whole drained batch locally (ShardWriter) and appends them
 // with ONE mutex acquisition — one LSN-range reservation per batch, not
-// per record. The centralized 1-shard configuration keeps the retired
-// txn::WriteAheadLog's per-record appends (ShardWriter immediate mode),
-// which is exactly the contention the paper's Fig. 4 logging slice
-// measures.
+// per record. The centralized 1-shard configuration keeps a central log's
+// per-record appends (ShardWriter immediate mode), which is exactly the
+// contention the paper's Fig. 4 logging slice measures.
 //
 // Durability is per shard: a group-commit flusher (LogManager) advances
 // `durable_lsn` and collects the commit tickets of markers that just
-// became durable. Blocking waiters (the compat path) sleep on a cv; after
-// Stop() the durable LSN is frozen and WaitDurable returns it immediately
-// instead of hanging.
+// became durable. Blocking waiters (the centralized kGroup commit) sleep
+// on a cv; after Stop() the durable LSN is frozen and WaitDurable returns
+// it immediately instead of hanging.
 #pragma once
 
 #include <condition_variable>

@@ -65,8 +65,9 @@ struct RecoveryReport {
   /// Committed transactions actually applied, sorted by commit epoch.
   std::vector<std::pair<TxnId, uint64_t>> applied;
   uint64_t records_applied = 0;
-  /// Data records skipped because they carried no after-image (the
-  /// centralized compat path logs keys only, like the retired WAL).
+  /// Data records skipped because they carried no after-image (a
+  /// key-only record; the executor always logs one, so any nonzero
+  /// count means the log lost information).
   uint64_t records_without_image = 0;
   /// Diff records applied in place (subset of records_applied).
   uint64_t records_diff_applied = 0;

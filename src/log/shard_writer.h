@@ -10,8 +10,8 @@
 // allocates nothing in steady state.
 //
 // Immediate mode (centralized 1-shard configuration): every Add goes
-// straight to the shard under its mutex — the retired WriteAheadLog's
-// per-record protocol, kept measurable for the Fig. 4 comparison.
+// straight to the shard under its mutex — a central log's per-record
+// protocol, kept measurable for the Fig. 4 comparison.
 #pragma once
 
 #include <cstdint>

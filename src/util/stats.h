@@ -1,4 +1,4 @@
-// Streaming statistics, histograms, and the sliding throughput window used
+// Streaming statistics and the sliding throughput window used
 // by the adaptive monitoring controller (paper §V-D).
 #pragma once
 
@@ -7,8 +7,6 @@
 #include <deque>
 #include <string>
 #include <vector>
-
-#include "obs/histogram.h"
 
 namespace atrapos {
 
@@ -31,12 +29,6 @@ class StreamingStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Fixed-bucket histogram with power-of-two bucket boundaries. The binning
-/// implementation lives in obs/histogram.h (shared with the concurrent
-/// per-worker registry histograms); this alias keeps the long-standing
-/// util spelling.
-using Histogram = obs::Histogram;
 
 /// Sliding window over the last N observations; the ATraPos adaptive
 /// controller asks "is the current throughput within 10% of the average of

@@ -35,8 +35,8 @@ enum TatpTxn : int {
   kDelCallFwd = 6,
 };
 
-// Column indices of the four tables (see BuildTatpTables schemas); shared
-// by the Database-backed procedures and the ActionGraph builders.
+// Column indices of the four tables (see BuildTatpTables schemas), used by
+// the ActionGraph builders and by tests that read rows back directly.
 enum SubCol : int { kSubId = 0, kSubNbr, kBit1, kHex1, kByte2, kMscLoc, kVlrLoc };
 enum AiCol : int { kAiSId = 0, kAiType, kAiData1, kAiData2, kAiData3, kAiData4 };
 enum SfCol : int { kSfSId = 0, kSfType, kSfActive, kSfErr, kSfDataA, kSfDataB };

@@ -1,7 +1,5 @@
 // The seven TATP stored procedures decomposed into routed transaction flow
-// graphs (engine::ActionGraph) for the partitioned executor — the
-// data-oriented counterpart of TatpProcedures, which runs the same
-// procedures against the shared-everything Database.
+// graphs (engine::ActionGraph) for the partitioned executor.
 //
 // Each builder mirrors the static TxnClass of workload::TatpSpec (same
 // class indices, same table sets — asserted by ActionGraph::MatchesClass),

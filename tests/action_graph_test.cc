@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -800,6 +801,149 @@ TEST_F(TatpGraphTest, MixRunsPipelinedWithCompletionPathReporting) {
   // Every completion was reported to the adaptive manager by the executor.
   EXPECT_EQ(mgr.completed_transactions(), static_cast<uint64_t>(kTxns));
   mgr.Stop();
+}
+
+// ---- TATP stored procedures, one behaviour per case ----------------------
+// The procedure-level checks of the TATP benchmark (row contents, both
+// tables of UpdateSubscriberData, CallForwarding windows, the mix), run as
+// action graphs on the partitioned executor.
+
+class TatpProcsTest : public TatpGraphTest {
+ protected:
+  // Sets the SpecialFacility's is_active flag so window lookups are
+  // deterministic.
+  void ActivateSf(uint64_t s_id, uint64_t sf_type) {
+    const uint64_t sf_key = workload::TatpEncodeSfKey(s_id, sf_type);
+    ActionGraph g;
+    g.Add(workload::kSpecialFacility, sf_key,
+          [sf_key](storage::Table* t, ActionCtx&) {
+            storage::Tuple sf;
+            ATRAPOS_RETURN_NOT_OK(t->Read(sf_key, &sf));
+            sf.SetInt(workload::kSfActive, 1);
+            return t->Update(sf_key, sf);
+          });
+    ASSERT_TRUE(exec_->SubmitAndWait(std::move(g)).ok());
+  }
+};
+
+TEST_F(TatpProcsTest, GetSubscriberDataReturnsRow) {
+  auto row = std::make_shared<storage::Tuple>();
+  ASSERT_TRUE(exec_->SubmitAndWait(graphs_.GetSubscriberData(42, row)).ok());
+  EXPECT_EQ(row->GetInt(workload::kSubId), 42);
+  EXPECT_EQ(row->GetString(workload::kSubNbr), "42");
+}
+
+TEST_F(TatpProcsTest, GetSubscriberDataMissingKey) {
+  EXPECT_EQ(exec_->SubmitAndWait(graphs_.GetSubscriberData(kSubs + 10)).code(),
+            StatusCode::kNotFound);
+}
+
+TEST_F(TatpProcsTest, GetAccessDataReadsAiRow) {
+  // The loader gives every subscriber ai_type 0.
+  auto data1 = std::make_shared<int64_t>(-1);
+  ASSERT_TRUE(exec_->SubmitAndWait(graphs_.GetAccessData(7, 0, data1)).ok());
+  storage::Tuple direct;
+  ASSERT_TRUE(db_.table(workload::kAccessInfo)
+                  ->Read(workload::TatpEncodeAiKey(7, 0), &direct)
+                  .ok());
+  EXPECT_EQ(*data1, direct.GetInt(workload::kAiData1));
+  EXPECT_GE(*data1, 0);
+  EXPECT_LT(*data1, 256);
+}
+
+TEST_F(TatpProcsTest, UpdateLocationPersists) {
+  ASSERT_TRUE(exec_->SubmitAndWait(graphs_.UpdateLocation(123, 987654)).ok());
+  auto row = std::make_shared<storage::Tuple>();
+  ASSERT_TRUE(exec_->SubmitAndWait(graphs_.GetSubscriberData(123, row)).ok());
+  EXPECT_EQ(row->GetInt(workload::kVlrLoc), 987654);
+}
+
+TEST_F(TatpProcsTest, UpdateSubscriberDataTouchesBothTables) {
+  ASSERT_TRUE(
+      exec_->SubmitAndWait(graphs_.UpdateSubscriberData(5, 1, 0, 77)).ok());
+  storage::Tuple sub;
+  ASSERT_TRUE(db_.table(workload::kSubscriber)->Read(5, &sub).ok());
+  EXPECT_EQ(sub.GetInt(workload::kBit1), 1);
+  storage::Tuple sf;
+  ASSERT_TRUE(db_.table(workload::kSpecialFacility)
+                  ->Read(workload::TatpEncodeSfKey(5, 0), &sf)
+                  .ok());
+  EXPECT_EQ(sf.GetInt(workload::kSfDataA), 77);
+}
+
+TEST_F(TatpProcsTest, InsertThenDeleteCallForwarding) {
+  // Delete first: the loader may or may not have filled this window.
+  (void)exec_->SubmitAndWait(graphs_.DeleteCallForwarding(9, 0, 16));
+  ASSERT_TRUE(exec_
+                  ->SubmitAndWait(
+                      graphs_.InsertCallForwarding(9, 0, 16, 23, "555-7777"))
+                  .ok());
+  EXPECT_EQ(exec_
+                ->SubmitAndWait(
+                    graphs_.InsertCallForwarding(9, 0, 16, 23, "555-8888"))
+                .code(),
+            StatusCode::kAlreadyExists);
+  ASSERT_TRUE(
+      exec_->SubmitAndWait(graphs_.DeleteCallForwarding(9, 0, 16)).ok());
+  EXPECT_EQ(
+      exec_->SubmitAndWait(graphs_.DeleteCallForwarding(9, 0, 16)).code(),
+      StatusCode::kNotFound);
+}
+
+TEST_F(TatpProcsTest, GetNewDestinationFindsInsertedWindow) {
+  (void)exec_->SubmitAndWait(graphs_.DeleteCallForwarding(11, 0, 0));
+  ASSERT_TRUE(exec_
+                  ->SubmitAndWait(
+                      graphs_.InsertCallForwarding(11, 0, 0, 20, "555-0042"))
+                  .ok());
+  ActivateSf(11, 0);
+
+  auto number = std::make_shared<std::string>();
+  Status get =
+      exec_->SubmitAndWait(graphs_.GetNewDestination(11, 0, 5, 10, number));
+  ASSERT_TRUE(get.ok()) << get.ToString();
+  EXPECT_EQ(*number, "555-0042");
+  // A window that ends too early does not match.
+  EXPECT_EQ(
+      exec_->SubmitAndWait(graphs_.GetNewDestination(11, 0, 5, 25)).code(),
+      StatusCode::kNotFound);
+}
+
+TEST_F(TatpProcsTest, MixRunsAllClasses) {
+  Rng rng(99);
+  std::map<int, int> executed;
+  for (int i = 0; i < 3000; ++i) {
+    ActionGraph g = graphs_.Mix(rng);
+    const int cls = g.txn_class();
+    Status s = exec_->SubmitAndWait(std::move(g));
+    ASSERT_TRUE(workload::TatpActionGraphs::CountsAsSuccess(s))
+        << s.ToString();
+    ++executed[cls];
+  }
+  // All seven classes appear, roughly in mix proportion.
+  EXPECT_EQ(executed.size(), 7u);
+  EXPECT_GT(executed[workload::kGetSubData], 800);
+  EXPECT_GT(executed[workload::kGetAccData], 800);
+  EXPECT_GT(executed[workload::kUpdLocation], 250);
+  EXPECT_GT(executed[workload::kGetNewDest], 150);
+}
+
+TEST_F(TatpProcsTest, MixLeavesNoActiveTransactions) {
+  // Submit the mix pipelined, then Drain(): no transaction may still be in
+  // flight, and every one must have completed exactly as a TATP success.
+  Rng rng(7);
+  std::vector<TxnFuture> futures;
+  for (int i = 0; i < 500; ++i) {
+    auto f = exec_->Submit(graphs_.Mix(rng));
+    ASSERT_TRUE(f.ok());
+    futures.push_back(f.take());
+  }
+  exec_->Drain();
+  for (auto& f : futures) {
+    ASSERT_TRUE(f.Done());
+    EXPECT_TRUE(workload::TatpActionGraphs::CountsAsSuccess(f.status()))
+        << f.status().ToString();
+  }
 }
 
 }  // namespace

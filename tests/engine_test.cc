@@ -1,5 +1,5 @@
-// Integration tests of the real-thread engine: Database transactions,
-// partitioned execution, and online repartitioning under load.
+// Integration tests of the real-thread engine: partitioned execution and
+// online repartitioning under load.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,111 +29,6 @@ std::unique_ptr<storage::Table> MicroTable(uint64_t rows,
     (void)t->Insert(k, row);
   }
   return t;
-}
-
-TEST(DatabaseTest, CommitReadBack) {
-  Database db({.topo = hw::Topology::Cube(1, 1)});
-  int t = db.AddTable(MicroTable(100));
-  auto txn = db.Begin();
-  storage::Tuple row;
-  ASSERT_TRUE(db.Read(&txn, t, 42, &row).ok());
-  row.SetInt(1, 999);
-  ASSERT_TRUE(db.Update(&txn, t, 42, row).ok());
-  ASSERT_TRUE(db.Commit(&txn).ok());
-
-  auto txn2 = db.Begin();
-  storage::Tuple row2;
-  ASSERT_TRUE(db.Read(&txn2, t, 42, &row2).ok());
-  EXPECT_EQ(row2.GetInt(1), 999);
-  ASSERT_TRUE(db.Commit(&txn2).ok());
-  EXPECT_EQ(db.active_transactions(), 0u);
-}
-
-TEST(DatabaseTest, InsertDeleteWithWal) {
-  Database db({});
-  int t = db.AddTable(MicroTable(10));
-  uint64_t wal_before = db.wal().num_records();
-  auto txn = db.Begin();
-  storage::Tuple row(&db.table(t)->schema());
-  row.SetInt(0, 500);
-  ASSERT_TRUE(db.Insert(&txn, t, 500, row).ok());
-  ASSERT_TRUE(db.Delete(&txn, t, 3).ok());
-  ASSERT_TRUE(db.Commit(&txn).ok());
-  // begin + insert + delete + commit
-  EXPECT_GE(db.wal().num_records(), wal_before + 4);
-  auto txn2 = db.Begin();
-  storage::Tuple out;
-  EXPECT_EQ(db.Read(&txn2, t, 3, &out).code(), StatusCode::kNotFound);
-  ASSERT_TRUE(db.Read(&txn2, t, 500, &out).ok());
-  ASSERT_TRUE(db.Commit(&txn2).ok());
-}
-
-TEST(DatabaseTest, WaitDieAbortsYoungerConflictor) {
-  Database db({});
-  int t = db.AddTable(MicroTable(10));
-  auto older = db.Begin();
-  auto younger = db.Begin();
-  storage::Tuple row(&db.table(t)->schema());
-  ASSERT_TRUE(db.Read(&older, t, 5, &row).ok());
-  row.SetInt(1, 1);
-  // Younger writer conflicts with older reader: wait-die kills it.
-  Status s = db.Update(&younger, t, 5, row);
-  EXPECT_EQ(s.code(), StatusCode::kDeadlockAbort);
-  db.Abort(&younger);
-  ASSERT_TRUE(db.Commit(&older).ok());
-}
-
-TEST(DatabaseTest, RunTransactionRetries) {
-  Database db({});
-  int t = db.AddTable(MicroTable(10));
-  int calls = 0;
-  Status s = db.RunTransaction([&](Database::Txn* txn) {
-    ++calls;
-    if (calls < 3) return Status::DeadlockAbort();
-    storage::Tuple row;
-    return db.Read(txn, t, 1, &row);
-  });
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(DatabaseTest, ConcurrentIncrementsAreSerializable) {
-  Database db({.topo = hw::Topology::Cube(1, 1)});
-  int t = db.AddTable(MicroTable(4));
-  constexpr int kThreads = 4, kIncr = 50;
-  std::vector<std::thread> threads;
-  std::atomic<int> aborted{0};
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&db, t, &aborted] {
-      for (int n = 0; n < kIncr; ++n) {
-        Status s = db.RunTransaction(
-            [&](Database::Txn* txn) {
-              storage::Tuple row;
-              ATRAPOS_RETURN_NOT_OK(db.ReadForUpdate(txn, t, 1, &row));
-              row.SetInt(1, row.GetInt(1) + 1);
-              return db.Update(txn, t, 1, row);
-            },
-            1000);
-        if (!s.ok()) ++aborted;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(aborted.load(), 0);
-  auto txn = db.Begin();
-  storage::Tuple row;
-  ASSERT_TRUE(db.Read(&txn, t, 1, &row).ok());
-  EXPECT_EQ(row.GetInt(1), 100 + kThreads * kIncr);
-  ASSERT_TRUE(db.Commit(&txn).ok());
-}
-
-TEST(DatabaseTest, CheckpointSeesActiveTransactions) {
-  Database db({.topo = hw::Topology::Cube(1, 1)});
-  (void)db.AddTable(MicroTable(10));
-  auto txn = db.Begin();
-  EXPECT_EQ(db.Checkpoint(), 1u);
-  ASSERT_TRUE(db.Commit(&txn).ok());
-  EXPECT_EQ(db.Checkpoint(), 0u);
 }
 
 core::Scheme TwoPartitionScheme(uint64_t rows) {
@@ -428,11 +323,9 @@ TEST(IslandPlacementTest, RepartitionMigratesMovedSubtreesToNewOwner) {
   EXPECT_GT(db.memory().stats().resident_bytes(0), 0);
   // Data survived the migration.
   EXPECT_EQ(db.table(0)->num_rows(), rows);
-  auto txn = db.Begin();
   storage::Tuple row;
-  ASSERT_TRUE(db.Read(&txn, 0, rows - 1, &row).ok());
+  ASSERT_TRUE(db.table(0)->Read(rows - 1, &row).ok());
   EXPECT_EQ(row.GetInt(1), 100);
-  ASSERT_TRUE(db.Commit(&txn).ok());
 }
 
 TEST(AdaptiveManagerTest, RepartitionsUnderSkewedLoad) {

@@ -2,7 +2,7 @@
 // subsystem (src/log/): the per-partition chunk pool, shard append /
 // group-commit / waiter semantics, the LogManager commit protocol
 // (epochs, tickets, watermark, generations), and the executor wiring
-// (per-partition shards, async acks, the centralized 1-shard compat
+// (per-partition shards, async acks, the centralized 1-shard
 // configuration, and the pooled submission path).
 #include <gtest/gtest.h>
 
@@ -27,8 +27,8 @@ using engine::DurabilityMode;
 using engine::PartitionedExecutor;
 using storage::Table;
 using storage::Tuple;
-using txn::LogType;
-using txn::Lsn;
+using log::LogType;
+using log::Lsn;
 
 // ---- ChunkPool --------------------------------------------------------------
 
@@ -257,21 +257,6 @@ TEST(LogManagerTest, BeginGenerationSealsActiveShards) {
   EXPECT_EQ(mgr.shard(id1)->generation(), 1);
   EXPECT_EQ(mgr.num_active_shards(), 1u);
   EXPECT_EQ(mgr.num_shards(), 2u);
-}
-
-TEST(LogManagerTest, CompatCommitBlocksUntilDurable) {
-  log::LogManager::Options o;
-  o.flush_interval_us = 100;
-  log::LogManager mgr(o);
-  mgr.EnsureCentralShard(nullptr);
-  mgr.Append(1, LogType::kBegin);
-  Lsn commit = mgr.Commit(1);
-  EXPECT_GE(mgr.durable_lsn(), commit);
-  EXPECT_EQ(mgr.num_records(), 2u);
-  mgr.Stop();
-  // Post-stop commits return the last durable LSN immediately (no hang).
-  Lsn post = mgr.Commit(2);
-  EXPECT_EQ(post, mgr.durable_lsn());
 }
 
 // ---- Pooled inbox (mpsc_queue + ChunkPool) ---------------------------------

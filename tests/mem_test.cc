@@ -85,13 +85,6 @@ TEST(AllocStatsTest, LocalTrafficKeepsRatioZero) {
   hw::ResetPlacement();
 }
 
-class PolicyTest : public ::testing::TestWithParam<hw::Topology> {};
-
-INSTANTIATE_TEST_SUITE_P(Topologies, PolicyTest,
-                         ::testing::Values(hw::Topology::SingleSocket(4),
-                                           hw::Topology::Cube(2, 2),
-                                           hw::Topology::TwistedCube8x10()));
-
 // A topology preset that prints as its name. gtest prints a bare Topology
 // parameter as a byte dump that includes heap addresses, which would put
 // addresses into the test ids ctest discovers and change them every build.
@@ -130,8 +123,8 @@ TEST_P(SocketPolicyTest, CentralResolvesToCentralSocket) {
     EXPECT_EQ(alloc.Resolve(s), 0);
 }
 
-TEST_P(PolicyTest, RemoteResolvesOffIslandToFarthestSocket) {
-  const hw::Topology& topo = GetParam();
+TEST_P(SocketPolicyTest, RemoteResolvesOffIslandToFarthestSocket) {
+  const hw::Topology topo = GetParam().make();
   IslandAllocator alloc(topo, {.policy = PlacementPolicy::kRemote});
   for (int s = 0; s < topo.num_sockets(); ++s) {
     hw::SocketId r = alloc.Resolve(s);
@@ -147,8 +140,8 @@ TEST_P(PolicyTest, RemoteResolvesOffIslandToFarthestSocket) {
   }
 }
 
-TEST_P(PolicyTest, InterleavedSeqIsDeterministicRoundRobin) {
-  const hw::Topology& topo = GetParam();
+TEST_P(SocketPolicyTest, InterleavedSeqIsDeterministicRoundRobin) {
+  const hw::Topology topo = GetParam().make();
   IslandAllocator alloc(topo, {.policy = PlacementPolicy::kInterleaved});
   std::set<hw::SocketId> seen;
   for (uint64_t i = 0; i < 2 * static_cast<uint64_t>(topo.num_sockets()); ++i) {

@@ -446,8 +446,10 @@ TEST(EngineObsTest, CommitLatencyQuantilesAreOrdered) {
   PartitionedExecutor exec(&db, topo, OneTableScheme(rows, 2));
   for (uint64_t k = 0; k < rows; ++k)
     ASSERT_TRUE(exec.SubmitAndWait(AddDelta(0, k, 1)).ok());
+  // Held in a local: `h` refers into the snapshot's histogram array.
+  const StatsSnapshot snap = db.StatsSnapshot();
   const Histogram& h =
-      db.StatsSnapshot().hists[static_cast<size_t>(HistId::kCommitLatencyUs)];
+      snap.hists[static_cast<size_t>(HistId::kCommitLatencyUs)];
   EXPECT_GE(h.count(), rows / 8);  // sampled 1-in-4 per completing thread
   EXPECT_LE(h.count(), rows);
   EXPECT_LE(h.Quantile(0.5), h.Quantile(0.95));

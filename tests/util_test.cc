@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 
+#include "obs/histogram.h"
 #include "util/backoff.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -130,7 +131,7 @@ TEST(StreamingStatsTest, ResetClears) {
 }
 
 TEST(HistogramTest, QuantilesOrdered) {
-  Histogram h;
+  obs::Histogram h;
   for (uint64_t i = 1; i <= 1000; ++i) h.Add(i);
   EXPECT_EQ(h.count(), 1000u);
   EXPECT_LE(h.Quantile(0.5), h.Quantile(0.99));
@@ -139,7 +140,7 @@ TEST(HistogramTest, QuantilesOrdered) {
 }
 
 TEST(HistogramTest, MergeCombines) {
-  Histogram a, b;
+  obs::Histogram a, b;
   a.Add(10);
   b.Add(1000);
   a.Merge(b);
