@@ -30,8 +30,9 @@ namespace {
 /// insert/update/delete on this thread becomes a staged log record, and
 /// the transaction's touched-partition bit is set for the commit
 /// protocol. Against a kCompactDiffV2 shard, updates are diff-encoded —
-/// only the contiguous byte range that changed (plus the Rid locating
-/// it) is logged instead of the full after-image.
+/// only the contiguous byte range that changed (plus its offset in the
+/// row) is logged instead of the full after-image. Rows are identified by
+/// key; no Rid is logged.
 class WorkerLogObserver : public storage::MutationObserver {
  public:
   WorkerLogObserver(log::ShardWriter* writer, size_t seq, bool diff_updates)
@@ -40,20 +41,19 @@ class WorkerLogObserver : public storage::MutationObserver {
   /// The transaction whose action is currently running on this worker.
   void set_txn(internal::TxnState* st) { st_ = st; }
 
-  void OnInsert(storage::TableId table, uint64_t key, storage::Rid rid,
+  void OnInsert(storage::TableId table, uint64_t key, storage::Rid,
                 const storage::Tuple& row) override {
     if (!Touch()) return;
     writer_->Add(st_->txn_id, log::LogType::kInsert,
-                 static_cast<uint32_t>(table), key, rid.Encode(), row.data(),
-                 row.size());
+                 static_cast<uint32_t>(table), key, row.data(), row.size());
   }
-  void OnUpdate(storage::TableId table, uint64_t key, storage::Rid rid,
+  void OnUpdate(storage::TableId table, uint64_t key, storage::Rid,
                 const uint8_t* before, const storage::Tuple& after) override {
     if (!Touch()) return;
     if (!diff_updates_) {
       writer_->Add(st_->txn_id, log::LogType::kUpdate,
-                   static_cast<uint32_t>(table), key, rid.Encode(),
-                   after.data(), after.size());
+                   static_cast<uint32_t>(table), key, after.data(),
+                   after.size());
       return;
     }
     // Contiguous changed range [lo, hi). An unchanged row still logs a
@@ -66,14 +66,14 @@ class WorkerLogObserver : public storage::MutationObserver {
     uint32_t hi = n;
     while (hi > lo && before[hi - 1] == now[hi - 1]) --hi;
     writer_->AddDiff(st_->txn_id, static_cast<uint32_t>(table), key,
-                     rid.Encode(), static_cast<uint16_t>(lo), now + lo,
+                     static_cast<uint16_t>(lo), now + lo,
                      static_cast<uint16_t>(hi - lo));
   }
   void OnDelete(storage::TableId table, uint64_t key,
-                storage::Rid rid) override {
+                storage::Rid) override {
     if (!Touch()) return;
     writer_->Add(st_->txn_id, log::LogType::kDelete,
-                 static_cast<uint32_t>(table), key, rid.Encode(), nullptr, 0);
+                 static_cast<uint32_t>(table), key, nullptr, 0);
   }
   bool WantsBeforeImage() const override { return diff_updates_; }
 
@@ -97,7 +97,7 @@ class WorkerLogObserver : public storage::MutationObserver {
 
 /// log::LogManager commit ack: the cookie is the TxnState whose markers
 /// reached the configured durability point; completion was deferred in
-/// FinishTxn and runs here (flusher thread in group mode, the appending
+/// FinishTxn and runs here (the flush leader in group mode, the appending
 /// worker in async mode). pending_status is ordered by the marker-publish
 /// / ticket-atomics chain.
 class PartitionedExecutor::CommitAckSink : public log::LogManager::CommitSink {
@@ -456,6 +456,11 @@ void PartitionedExecutor::WorkerLoop(Worker* w) {
     uint8_t stage = kWarmed;
   };
   std::vector<Slot> ring(K > 1 ? K : 0);
+  // Set when a drained batch appended a group-mode commit marker. The
+  // worker requests one group flush per pass over its partitions, after
+  // every lane appended its markers, so a commit whose markers landed on
+  // two of this worker's partitions is made durable by a single pass.
+  bool group_flush_owed = false;
 
   // Drains one grabbed chain of lane l's partition. Nothing in the
   // per-batch body depends on how many partitions share this thread.
@@ -640,7 +645,8 @@ void PartitionedExecutor::WorkerLoop(Worker* w) {
         p->inbox.ReleaseChunk(done);
       }
     }
-    if (l.writer) l.writer->Flush();  // one shard reservation per batch
+    // One shard reservation per batch.
+    if (l.writer && l.writer->Flush()) group_flush_owed = true;
     if (n > 0) {
       double us = std::chrono::duration<double, std::micro>(
                       std::chrono::steady_clock::now() - t0)
@@ -687,6 +693,10 @@ void PartitionedExecutor::WorkerLoop(Worker* w) {
       if (l.p->inbox.Empty()) continue;
       drained = true;
       drain(l, l.p->inbox.PopAll());
+    }
+    if (group_flush_owed) {
+      group_flush_owed = false;
+      log_->RequestFlush();  // lead the flush, or leave it to the leader
     }
     if (drained) continue;
     // Callers stop workers only after Drain(), so a pass that found
@@ -1008,7 +1018,7 @@ void PartitionedExecutor::FinishTxn(internal::TxnState* st, Status s) {
   // Per-partition commit: one marker per touched partition, routed
   // through that partition's inbox so its owning worker appends it after
   // the transaction's data records. Completion is deferred to the commit
-  // ack — append-fired in async mode, durable-fired (flusher) in group
+  // ack — append-fired in async mode, durable-fired (flush leader) in group
   // mode. Workers never block on a flush window.
   st->pending_status = std::move(s);
   log::CommitTicket* ticket = log_->BeginCommit(

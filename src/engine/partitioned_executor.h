@@ -100,15 +100,21 @@ class PartitionedExecutor : public Database::Drainable {
     /// flush window) — the baseline the paper's Fig. 4 logging slice
     /// measures against.
     int log_shards = 0;
+    /// Period of the log's idle flusher. Per-partition group commits do
+    /// not wait for it — the worker that appends a commit marker leads
+    /// the flush — so it only bounds async-mode durability lag, retries
+    /// of short (faulted) flushes, leftover flush requests, and the
+    /// centralized (log_shards = 1) kGroup commit's wait.
     uint64_t log_flush_interval_us = 50;
-    /// Log record serialization: kCompactDiffV2 (default) writes compact
-    /// headers and diff-encodes updates as (Rid, changed-range) records;
-    /// kAfterImageV1 keeps the PR 4 full after-image encoding — the
-    /// baseline the log-bytes/txn comparison is measured against.
+    /// Log record serialization: kCompactDiffV2 (default) writes varint
+    /// headers and diff-encodes updates as (offset, changed-range)
+    /// records; kAfterImageV1 keeps the full after-image encoding with
+    /// fixed headers — the baseline the log-bytes/txn comparison is
+    /// measured against.
     log::WireFormat log_wire = log::WireFormat::kCompactDiffV2;
-    /// Tests: no background flusher — drive group commit with
-    /// log_manager()->FlushAll() for deterministic durable points. kGroup
-    /// commits only ack on an explicit flush then.
+    /// Tests: no background flusher and no worker-led flushes — drive
+    /// group commit with log_manager()->FlushAll() for deterministic
+    /// durable points. kGroup commits only ack on an explicit flush then.
     bool log_manual_flush = false;
     /// Interleaved action execution (storage/interleave.h): a worker keeps
     /// up to this many drained actions in flight, overlapping their warm

@@ -152,17 +152,59 @@ void LogManager::FlushAll() {
   }
 }
 
+void LogManager::RequestFlush() {
+  if (!opt_.start_flusher || stop_.load(std::memory_order_relaxed)) return;
+  // The request store must precede the leader exchange in LeadFlushes
+  // (seq_cst on both): a leader that releases after this store sees it.
+  flush_requested_.store(true);
+  LeadFlushes();
+}
+
+void LogManager::LeadFlushes() {
+  int passes = 0;
+  while (flush_requested_.load()) {
+    // Follower: the current leader re-reads flush_requested_ after it
+    // releases, so this request is served without us.
+    if (flush_leader_.exchange(true)) return;
+    // Each pass clears the request first, so a request stored during a
+    // pass stays pending for the next one.
+    while (passes < kMaxLeaderPasses && flush_requested_.exchange(false)) {
+      FlushAll();
+      ++passes;
+    }
+    flush_leader_.store(false);
+    // Pass bound reached: a pending request waits for the next leader or
+    // the idle flusher's next tick rather than holding this worker.
+    if (passes == kMaxLeaderPasses) return;
+  }
+}
+
 void LogManager::FlusherLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    FlushAll();
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(opt_.flush_interval_us));
+  // The idle tick: group commits are flushed by their committers
+  // (RequestFlush); this thread covers async-mode durability, windows a
+  // kLogShortFlush fault left unfinished, and requests a leader left at
+  // its pass bound. It takes the same leader flag, so at most one
+  // leader pass runs at a time.
+  const auto tick = std::chrono::microseconds(opt_.flush_interval_us);
+  for (;;) {
+    flush_requested_.store(true);
+    LeadFlushes();
+    // Interruptible, so Stop() never waits out a long tick.
+    std::unique_lock lk(tick_mu_);
+    if (tick_cv_.wait_for(lk, tick, [this] {
+          return stop_.load(std::memory_order_acquire);
+        }))
+      return;
   }
 }
 
 void LogManager::Stop() {
   if (stopped_.load(std::memory_order_acquire)) return;
-  stop_.store(true, std::memory_order_release);
+  {
+    std::lock_guard lk(tick_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
+  tick_cv_.notify_all();
   if (flusher_.joinable()) flusher_.join();
   // Final group commit: everything appended so far becomes durable and
   // every settled waiter is acked, so no committer hangs at shutdown.

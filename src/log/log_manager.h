@@ -2,12 +2,22 @@
 //
 // Owns one LogShard per partition (the executor's default configuration)
 // or a single centralized shard (PartitionedExecutor::Options::log_shards
-// = 1, the shared-log baseline of the paper's Fig. 4 logging slice). A
-// background group-commit flusher advances every shard's durable LSN each
-// window and settles commit tickets; commit acks are asynchronous — the
-// flusher (group mode) or the appending worker (async mode) notifies the
-// registered CommitSink, and no per-partition worker ever blocks on a
-// flush window.
+// = 1, the shared-log baseline of the paper's Fig. 4 logging slice).
+//
+// Group commit is committer-led (Aether's flush pipelining): a worker
+// whose batch appended a group-mode commit marker calls RequestFlush().
+// One caller at a time wins the leader flag and runs FlushAll() passes
+// for everyone — advancing every shard's durable LSN and settling commit
+// tickets — while the others return at once, their request folded into
+// the leader's next pass. No committer waits for a timer and no worker
+// ever blocks on a flush. A background thread still ticks every
+// flush_interval_us, under the same leader flag, as the idle flusher:
+// it makes async-mode commits durable, finishes windows a
+// kLogShortFlush fault cut short, and picks up requests a leader left
+// when it reached its pass bound.
+//
+// Commit acks are asynchronous: the flush leader (group mode) or the
+// appending worker (async mode) notifies the registered CommitSink.
 //
 // The durable point is distributed: a vector of per-shard LSNs plus a
 // commit-epoch watermark. Epochs are drawn from one global counter at
@@ -22,6 +32,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -41,15 +52,18 @@ namespace atrapos::log {
 class LogManager {
  public:
   struct Options {
-    /// Group-commit window of the background flusher.
+    /// Period of the background idle flusher. Group commits do not wait
+    /// for it: the committing worker requests the flush (RequestFlush).
     uint64_t flush_interval_us = 50;
-    /// Tests drive flushing manually with FlushAll() when false.
+    /// false = manual mode: no background flusher and RequestFlush() is a
+    /// no-op, so tests drive every flush pass with FlushAll().
     bool start_flusher = true;
     /// Chunk payload for shards the manager creates its own pool for.
     size_t chunk_payload_bytes = mem::kPartitionChunkBytes;
     /// Serialization of every shard this manager creates. kCompactDiffV2
-    /// (default) writes the slim Rid+diff records; kAfterImageV1 keeps the
-    /// PR 4 after-image encoding for the log-bytes comparison.
+    /// (default) writes the slim varint + diff records; kAfterImageV1
+    /// keeps the fixed-header after-image encoding for the log-bytes
+    /// comparison.
     WireFormat wire = WireFormat::kCompactDiffV2;
     /// Observability registry for flush latency, flush count, and the
     /// durable-lag gauge (nullptr = no recording). Must outlive the
@@ -57,8 +71,9 @@ class LogManager {
     obs::Registry* registry = nullptr;
   };
 
-  /// Receives commit acks. Group mode: called on the flusher thread once
-  /// the transaction's markers are durable on every shard it touched.
+  /// Receives commit acks. Group mode: called on the thread running the
+  /// flush pass (a leading worker or the idle flusher) once the
+  /// transaction's markers are durable on every shard it touched.
   /// Async mode: called on the worker appending the last marker.
   class CommitSink {
    public:
@@ -113,9 +128,17 @@ class LogManager {
 
   /// One group-commit pass over every shard: advances durable LSNs,
   /// settles tickets (acks group-mode commits, advances the epoch
-  /// watermark, frees tickets). The background flusher calls this every
-  /// window; manual-mode tests call it directly.
+  /// watermark, frees tickets). Flush leaders and the idle flusher call
+  /// this; manual-mode tests call it directly.
   void FlushAll();
+
+  /// Committer-led group commit: asks for a FlushAll pass covering every
+  /// record appended before the call. The caller either becomes the
+  /// leader and runs at most kMaxLeaderPasses passes, or returns at once
+  /// when another thread leads (that leader, or failing that the idle
+  /// flusher, runs the pass). Never blocks. A no-op in manual mode and
+  /// after Stop().
+  void RequestFlush();
 
   /// Stops the flusher after a final FlushAll and freezes every shard's
   /// durable point; a post-stop LogShard::WaitDurable returns the last
@@ -150,9 +173,17 @@ class LogManager {
   WireFormat wire() const { return opt_.wire; }
 
  private:
+  /// Bounds the flush work one RequestFlush caller does for others, so a
+  /// worker returns to its own inbox; leftovers go to the idle flusher.
+  static constexpr int kMaxLeaderPasses = 2;
+
+  /// The idle flusher: one leader attempt every flush_interval_us.
   void FlusherLoop();
+  /// Runs FlushAll passes while a request is pending, as leader, at most
+  /// kMaxLeaderPasses; returns at once when another thread leads.
+  void LeadFlushes();
   /// Settles tickets whose last marker became durable: group-mode ack,
-  /// epoch watermark, free. Runs on the flusher (or FlushAll caller).
+  /// epoch watermark, free. Runs on the FlushAll caller.
   void SettleDurable(const std::vector<CommitTicket*>& tickets);
   void MarkEpochDurable(uint64_t epoch);
 
@@ -170,8 +201,18 @@ class LogManager {
   std::mutex epoch_mu_;
   std::vector<uint64_t> durable_out_of_order_;  // min-heap
 
+  /// Leader/follower handshake. A requester sets flush_requested_ and
+  /// then tries to take flush_leader_; a leader releases flush_leader_
+  /// and then re-reads flush_requested_. Both pairs are seq_cst (the
+  /// Dekker pair of the worker park protocol), so a request that loses
+  /// the leader race is always seen by the leader that beat it.
+  std::atomic<bool> flush_requested_{false};
+  std::atomic<bool> flush_leader_{false};
+
   std::atomic<bool> stop_{false};
   std::atomic<bool> stopped_{false};
+  std::mutex tick_mu_;  ///< pairs with tick_cv_ to cut the tick short
+  std::condition_variable tick_cv_;
   std::thread flusher_;
 };
 

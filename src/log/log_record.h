@@ -17,8 +17,10 @@
 // the transaction's data records (per-shard LSN order encodes the
 // write-ahead invariant). A CommitTicket counts markers across shards; the
 // transaction is acknowledged when the ticket fires — at marker append
-// (async mode) or when every marker is durable (group mode). Workers never
-// block on a flush window.
+// (async mode) or when every marker is durable (group mode). In group
+// mode the worker that appends a marker also requests the flush
+// (LogManager::RequestFlush, Aether's flush pipelining): committers drive
+// group commit, no timer does, and no worker ever blocks on a flush.
 #pragma once
 
 #include <atomic>
@@ -53,7 +55,7 @@ struct CommitTicket {
   std::atomic<int> remaining_append;
   std::atomic<int> remaining_durable;
   /// Lifetime: one reference per marker occurrence (released when the
-  /// flusher settles it — or the manager's destructor reclaims it) plus
+  /// flush pass settles it — or the manager's destructor reclaims it) plus
   /// one for the append-side ack path, so neither side can free the
   /// ticket under the other.
   std::atomic<int> remaining_release;
@@ -79,16 +81,25 @@ inline bool ReleaseCommitTicket(CommitTicket* t) {
   return true;
 }
 
-/// How a shard serializes its records (versioned wire format).
+/// How a shard serializes its records (versioned wire format). The log
+/// lives in process memory and is never read by another process, so a
+/// format can change freely; the versions exist for the log-bytes
+/// comparison.
 ///
-/// kAfterImageV1 is the PR 4 encoding kept byte-identical for the
-/// log-bytes comparison: one 48-byte header per record, data records
-/// followed by the full after-image of the row.
+/// kAfterImageV1 is the original encoding, kept as the reference: one
+/// fixed 48-byte header per record, data records followed by the full
+/// after-image of the row.
 ///
-/// kCompactDiffV2 is the slimmed encoding the partition-bit Rids enable
-/// (Aether-style log slimming): 32-byte data headers carrying the Rid and
-/// a (diff offset, len) describing the payload — updates log only the
-/// bytes that changed — and 24-byte commit/abort markers. LSNs are
+/// kCompactDiffV2 is the slim encoding (Aether-style log slimming).
+/// Every record starts with one byte holding its LogType and, for data
+/// records, the kRecFlagDiff bit; the remaining header fields are LEB128
+/// varints, so small ids cost one byte each:
+///   data:   table, txn, key, [diff offset when kRecFlagDiff], payload
+///           size, then the payload — updates log only the bytes that
+///           changed;
+///   marker: expected, txn, epoch (commit and abort; no payload).
+/// No Rid is logged: replay resolves rows by key, since a logged Rid goes
+/// stale once a repartition generation re-homes the row. LSNs are
 /// implicit (records are parsed back in append order), which is what a
 /// per-shard sequential log gives for free.
 enum class WireFormat : uint8_t {
@@ -106,7 +117,6 @@ struct PendingRecord {
   LogType type = LogType::kBegin;
   uint32_t table = 0;
   uint64_t key = 0;
-  uint64_t rid = 0;               ///< encoded Rid (0 when not applicable)
   uint64_t epoch = 0;             ///< commit markers only
   uint16_t marker_expected = 0;   ///< commit markers: #touched partitions
   uint16_t diff_offset = 0;       ///< diff records: byte offset in the row
@@ -131,33 +141,8 @@ struct RecordHeader {
 };
 static_assert(sizeof(RecordHeader) == 48, "keep the v1 wire format stable");
 
-/// v2 record flags.
-inline constexpr uint8_t kRecFlagDiff = 0x1;  ///< payload is a partial diff
-
-/// v2 data-record header (insert/update/delete), followed by
-/// `image_size` payload bytes.
-struct DataHeaderV2 {
-  uint8_t type = 0;
-  uint8_t flags = 0;
-  uint16_t table = 0;
-  uint16_t diff_offset = 0;
-  uint16_t image_size = 0;
-  TxnId txn = 0;
-  uint64_t key = 0;
-  uint64_t rid = 0;
-};
-static_assert(sizeof(DataHeaderV2) == 32, "keep the v2 wire format stable");
-
-/// v2 commit/abort marker (no payload).
-struct MarkerHeaderV2 {
-  uint8_t type = 0;
-  uint8_t flags = 0;
-  uint16_t marker_expected = 0;
-  uint32_t pad = 0;
-  TxnId txn = 0;
-  uint64_t epoch = 0;
-};
-static_assert(sizeof(MarkerHeaderV2) == 24, "keep the v2 wire format stable");
+/// v2 type-byte flag: the data record's payload is a partial-row diff.
+inline constexpr uint8_t kRecFlagDiff = 0x80;
 
 /// True for the record types serialized as v2 markers.
 inline bool IsMarkerType(LogType t) {
@@ -171,7 +156,6 @@ struct RecoveredRecord {
   LogType type = LogType::kBegin;
   uint32_t table = 0;
   uint64_t key = 0;
-  uint64_t rid = 0;               ///< encoded Rid; 0 when not logged
   uint64_t epoch = 0;
   uint32_t marker_expected = 0;
   uint16_t diff_offset = 0;

@@ -20,12 +20,83 @@ LogShard::~LogShard() {
   for (Buf& b : bufs_) pool_->Put(b.data);
 }
 
+namespace {
+
+// ---- v2 varint codec ----------------------------------------------------
+
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+uint8_t* PutVarint(uint8_t* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<uint8_t>(v);
+  return p;
+}
+
+/// Decodes one varint from [*p, end); false when it runs past `end` or
+/// past 64 bits (a cut or corrupt header).
+bool GetVarint(const uint8_t** p, const uint8_t* end, uint64_t* v) {
+  uint64_t out = 0;
+  for (unsigned shift = 0; shift < 64 && *p < end; shift += 7) {
+    uint8_t b = *(*p)++;
+    out |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) {
+      *v = out;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Parses one v2 header at [p, end) into `r` (everything but lsn and
+/// image) and its payload size; returns the header length, 0 when the
+/// header does not fit.
+size_t ParseHeaderV2(const uint8_t* p, const uint8_t* end,
+                     RecoveredRecord* r, uint64_t* image_size) {
+  const uint8_t* const start = p;
+  const uint8_t tag = *p++;
+  r->type = static_cast<LogType>(tag & ~kRecFlagDiff);
+  uint64_t a = 0, txn = 0, c = 0;
+  if (!GetVarint(&p, end, &a) || !GetVarint(&p, end, &txn) ||
+      !GetVarint(&p, end, &c))
+    return 0;
+  r->txn = txn;
+  *image_size = 0;
+  if (IsMarkerType(r->type)) {
+    r->marker_expected = static_cast<uint32_t>(a);
+    r->epoch = c;
+    return static_cast<size_t>(p - start);
+  }
+  r->table = static_cast<uint32_t>(a);
+  r->key = c;
+  r->is_diff = (tag & kRecFlagDiff) != 0;
+  uint64_t offset = 0;
+  if (r->is_diff && !GetVarint(&p, end, &offset)) return 0;
+  r->diff_offset = static_cast<uint16_t>(offset);
+  if (!GetVarint(&p, end, image_size)) return 0;
+  return static_cast<size_t>(p - start);
+}
+
+}  // namespace
+
 size_t LogShard::WireSize(const PendingRecord& r) const {
   if (wire_ == WireFormat::kAfterImageV1)
     return sizeof(RecordHeader) + r.image_size;
-  return (IsMarkerType(r.type) ? sizeof(MarkerHeaderV2)
-                               : sizeof(DataHeaderV2)) +
-         r.image_size;
+  if (IsMarkerType(r.type))
+    return 1 + VarintSize(r.marker_expected) + VarintSize(r.txn) +
+           VarintSize(r.epoch);
+  return 1 + VarintSize(r.table) + VarintSize(r.txn) + VarintSize(r.key) +
+         (r.is_diff ? VarintSize(r.diff_offset) : 0) +
+         VarintSize(r.image_size) + r.image_size;
 }
 
 uint8_t* LogShard::ReserveLocked(size_t need) {
@@ -45,15 +116,15 @@ uint8_t* LogShard::ReserveLocked(size_t need) {
   return p;
 }
 
-void LogShard::WriteLocked(const PendingRecord& r, Lsn lsn,
-                           const uint8_t* image) {
+size_t LogShard::WriteLocked(const PendingRecord& r, Lsn lsn,
+                             const uint8_t* image) {
   size_t need = WireSize(r);
   uint8_t* p = ReserveLocked(need);
   if (wire_ == WireFormat::kAfterImageV1) {
-    // Diff payloads require the v2 headers that carry (rid, offset); a
+    // Diff payloads require the v2 headers that carry the diff offset; a
     // diff staged against a v1 shard would serialize as a corrupt
     // partial after-image and silently vanish at recovery — fail loudly
-    // (release builds included, like the u16 guards below).
+    // (release builds included, like oversized records).
     if (r.is_diff) {
       std::fprintf(stderr, "LogShard: diff record staged against a v1 "
                            "after-image shard\n");
@@ -71,37 +142,22 @@ void LogShard::WriteLocked(const PendingRecord& r, Lsn lsn,
     std::memcpy(p, &h, sizeof(h));
     p += sizeof(h);
   } else if (IsMarkerType(r.type)) {
-    MarkerHeaderV2 h;
-    h.type = static_cast<uint8_t>(r.type);
-    h.marker_expected = r.marker_expected;
-    h.txn = r.txn;
-    h.epoch = r.epoch;
-    std::memcpy(p, &h, sizeof(h));
-    p += sizeof(h);
+    *p++ = static_cast<uint8_t>(r.type);
+    p = PutVarint(p, r.marker_expected);
+    p = PutVarint(p, r.txn);
+    p = PutVarint(p, r.epoch);
   } else {
-    // v2 narrows table and payload size to u16; a value that does not fit
-    // must fail loudly (like oversized records), not truncate silently.
-    if (r.table > UINT16_MAX || r.image_size > UINT16_MAX) {
-      std::fprintf(stderr,
-                   "LogShard: record (table=%u, image=%u B) exceeds the v2 "
-                   "u16 wire fields\n",
-                   r.table, r.image_size);
-      std::abort();
-    }
-    DataHeaderV2 h;
-    h.type = static_cast<uint8_t>(r.type);
-    h.flags = r.is_diff ? kRecFlagDiff : 0;
-    h.table = static_cast<uint16_t>(r.table);
-    h.diff_offset = r.diff_offset;
-    h.image_size = static_cast<uint16_t>(r.image_size);
-    h.txn = r.txn;
-    h.key = r.key;
-    h.rid = r.rid;
-    std::memcpy(p, &h, sizeof(h));
-    p += sizeof(h);
+    *p++ = static_cast<uint8_t>(static_cast<uint8_t>(r.type) |
+                                (r.is_diff ? kRecFlagDiff : 0));
+    p = PutVarint(p, r.table);
+    p = PutVarint(p, r.txn);
+    p = PutVarint(p, r.key);
+    if (r.is_diff) p = PutVarint(p, r.diff_offset);
+    p = PutVarint(p, r.image_size);
   }
   if (r.image_size > 0) std::memcpy(p, image, r.image_size);
   bytes_logged_.fetch_add(need, std::memory_order_relaxed);
+  return need;
 }
 
 Lsn LogShard::AppendBatch(const PendingRecord* recs, size_t n,
@@ -127,8 +183,7 @@ Lsn LogShard::AppendBatch(const PendingRecord* recs, size_t n,
                          WireSize(r) / 2;
         torn_lsn_ = lsn;
       }
-      WriteLocked(r, lsn, images + r.image_offset);
-      bytes += WireSize(r);
+      bytes += WriteLocked(r, lsn, images + r.image_offset);
       if (r.ticket != nullptr) {
         waiters_.emplace_back(lsn, r.ticket);
         if (r.ticket->remaining_append.fetch_sub(
@@ -176,7 +231,7 @@ void LogShard::FlushInternal(std::vector<CommitTicket*>* durable_fired,
     if (allow_fault && tail > cur &&
         fault::Should(fault::SiteId::kLogShortFlush)) {
       // Short write: only part of the window reached the disk. The rest
-      // stays buffered for the flusher's next pass.
+      // stays buffered for the next flush pass.
       tail = cur + (tail - cur + 1) / 2;
     }
     if (tail > durable_lsn_.load(std::memory_order_relaxed)) {
@@ -288,32 +343,13 @@ ShardSnapshot LogShard::SnapshotDurable() const {
         r.marker_expected = h.marker_expected;
         image_size = h.image_size;
         header = sizeof(h);
-      } else if (IsMarkerType(static_cast<LogType>(b.data[off]))) {
-        if (off + sizeof(MarkerHeaderV2) > b.used) break;
-        if (next > durable) return snap;  // crash cut
-        MarkerHeaderV2 h;
-        std::memcpy(&h, b.data + off, sizeof(h));
-        r.lsn = next;
-        r.txn = h.txn;
-        r.type = static_cast<LogType>(h.type);
-        r.epoch = h.epoch;
-        r.marker_expected = h.marker_expected;
-        header = sizeof(h);
       } else {
-        if (off + sizeof(DataHeaderV2) > b.used) break;
         if (next > durable) return snap;  // crash cut
-        DataHeaderV2 h;
-        std::memcpy(&h, b.data + off, sizeof(h));
+        uint64_t size = 0;
+        header = ParseHeaderV2(b.data + off, b.data + b.used, &r, &size);
+        if (header == 0 || header + size > b.used - off) break;
         r.lsn = next;
-        r.txn = h.txn;
-        r.type = static_cast<LogType>(h.type);
-        r.table = h.table;
-        r.key = h.key;
-        r.rid = h.rid;
-        r.diff_offset = h.diff_offset;
-        r.is_diff = (h.flags & kRecFlagDiff) != 0;
-        image_size = h.image_size;
-        header = sizeof(h);
+        image_size = static_cast<uint32_t>(size);
       }
       if (pos + header + image_size > cut) {
         snap.torn = true;

@@ -10,9 +10,9 @@
 // per-record appends (ShardWriter immediate mode), which is exactly the
 // contention the paper's Fig. 4 logging slice measures.
 //
-// Durability is per shard: a group-commit flusher (LogManager) advances
-// `durable_lsn` and collects the commit tickets of markers that just
-// became durable. Blocking waiters (the centralized kGroup commit) sleep
+// Durability is per shard: LogManager's group-commit passes (led by
+// committing workers, or by its idle flusher) advance `durable_lsn` and
+// collect the commit tickets of markers that just became durable. Blocking waiters (the centralized kGroup commit) sleep
 // on a cv; after Stop() the durable LSN is frozen and WaitDurable returns
 // it immediately instead of hanging.
 #pragma once
@@ -62,7 +62,7 @@ class LogShard {
 
   /// Group commit: advances the durable LSN to the current tail, wakes
   /// blocking waiters, and appends (never clears) the tickets of commit
-  /// markers that just became durable to `durable_fired` for the flusher
+  /// markers that just became durable to `durable_fired` for the caller
   /// to settle outside the lock. Under an armed kLogShortFlush fault the
   /// durable LSN advances only part-way (a short write); the next flush
   /// pass completes the window, so group commit degrades to higher
@@ -122,8 +122,9 @@ class LogShard {
 
   /// Serialized size of one staged record under this shard's wire format.
   size_t WireSize(const PendingRecord& r) const;
-  /// Copies one record into the chunk chain; caller holds mu_.
-  void WriteLocked(const PendingRecord& r, Lsn lsn, const uint8_t* image);
+  /// Copies one record into the chunk chain and returns its wire size;
+  /// caller holds mu_.
+  size_t WriteLocked(const PendingRecord& r, Lsn lsn, const uint8_t* image);
   /// Ensures the chunk chain can take `need` contiguous bytes; caller
   /// holds mu_. Returns the write position.
   uint8_t* ReserveLocked(size_t need);

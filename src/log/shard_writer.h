@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "log/log_manager.h"
@@ -36,13 +37,12 @@ class ShardWriter {
 
   /// Stages one data record (after-image copied into the side buffer).
   void Add(TxnId txn, LogType type, uint32_t table, uint64_t key,
-           uint64_t rid, const uint8_t* image, uint32_t image_size) {
+           const uint8_t* image, uint32_t image_size) {
     PendingRecord r;
     r.txn = txn;
     r.type = type;
     r.table = table;
     r.key = key;
-    r.rid = rid;
     r.image_offset = static_cast<uint32_t>(images_.size());
     r.image_size = image_size;
     if (image_size > 0) images_.insert(images_.end(), image, image + image_size);
@@ -54,14 +54,13 @@ class ShardWriter {
   /// `offset` within the row are copied (len 0 is a valid no-op update —
   /// the record still decides commit protocol membership). Requires a
   /// kCompactDiffV2 shard.
-  void AddDiff(TxnId txn, uint32_t table, uint64_t key, uint64_t rid,
-               uint16_t offset, const uint8_t* bytes, uint16_t len) {
+  void AddDiff(TxnId txn, uint32_t table, uint64_t key, uint16_t offset,
+               const uint8_t* bytes, uint16_t len) {
     PendingRecord r;
     r.txn = txn;
     r.type = LogType::kUpdate;
     r.table = table;
     r.key = key;
-    r.rid = rid;
     r.is_diff = true;
     r.diff_offset = offset;
     r.image_offset = static_cast<uint32_t>(images_.size());
@@ -81,19 +80,24 @@ class ShardWriter {
     r.marker_expected = expected;
     r.image_offset = static_cast<uint32_t>(images_.size());
     r.ticket = ticket;
+    if (ticket != nullptr && !ticket->fire_on_append) group_marker_ = true;
     pending_.push_back(r);
     if (immediate_) Flush();
   }
 
   /// One reservation for everything staged since the last flush; acks
   /// append-fired (async-mode) tickets afterwards, outside the shard lock.
-  void Flush() {
-    if (pending_.empty()) return;
+  /// Returns true when the batch appended a group-mode commit marker: the
+  /// caller then owes a LogManager::RequestFlush() (committer-led group
+  /// commit), which a worker issues once per pass over its partitions.
+  bool Flush() {
+    if (pending_.empty()) return false;
     shard_->AppendBatch(pending_.data(), pending_.size(), images_.data(),
                         &append_fired_);
     pending_.clear();
     images_.clear();
     if (!append_fired_.empty()) mgr_->OnMarkersAppended(append_fired_);
+    return std::exchange(group_marker_, false);
   }
 
  private:
@@ -103,6 +107,7 @@ class ShardWriter {
   std::vector<PendingRecord> pending_;
   std::vector<uint8_t> images_;
   std::vector<CommitTicket*> append_fired_;
+  bool group_marker_ = false;  ///< a staged marker awaits a group flush
 };
 
 }  // namespace atrapos::log

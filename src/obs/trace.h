@@ -41,7 +41,7 @@ enum class SpanId : uint8_t {
   kCommitMarker,      ///< instant: worker appended this txn's marker
   kDurableAck,        ///< instant: commit ack (durable or append-fired)
   kRepartition,       ///< instant: AdaptiveManager applied a new scheme
-  kLogFlush,          ///< X on the flusher: one group-commit pass
+  kLogFlush,          ///< X on the flush leader: one group-commit pass
   // Wire tier: these carry the wire trace id (req id | 1<<62, see
   // server::WireTraceId) so a remote transaction's client-send →
   // durable-ack chain links up in one chrome dump.

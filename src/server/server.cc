@@ -97,6 +97,50 @@ struct Server::IoThread {
   std::vector<WaveItem> wave_items;
 };
 
+template <typename Encode>
+void Server::QueueResponse(const std::shared_ptr<Conn>& c, Encode&& encode) {
+  if (c->closed.load(std::memory_order_acquire)) return;  // response dropped
+  obs_->Count(obs::CounterId::kNetFramesOut);
+  bool enqueue = false;
+  {
+    std::lock_guard lk(c->out_mu);
+    encode(&c->out);
+    if (!c->queued) {
+      c->queued = true;
+      enqueue = true;
+    }
+  }
+  if (!enqueue) return;
+  IoThread* t = c->owner;
+  bool wake;
+  {
+    std::lock_guard lk(t->dirty_mu);
+    // A non-empty list already has a wake pending: the I/O thread takes
+    // the whole list (FlushDirty) after it reads the eventfd.
+    wake = t->dirty.empty();
+    t->dirty.push_back(c);
+  }
+  if (wake) net::EventfdSignal(t->wake_fd);
+}
+
+void Server::QueueTxnAck(const std::shared_ptr<Conn>& c, uint64_t req_id,
+                         WireStatus ws) {
+  QueueResponse(c, [&](std::vector<uint8_t>* out) {
+    EncodeTxnAck(out, req_id, ws);
+  });
+}
+
+void Server::QueueAck(const std::shared_ptr<Conn>& c, uint64_t req_id,
+                      const PkRows* pk_rows, WireStatus ws) {
+  if (pk_rows == nullptr) {
+    QueueTxnAck(c, req_id, ws);
+    return;
+  }
+  QueueResponse(c, [&](std::vector<uint8_t>* out) {
+    EncodePkReadAck(out, req_id, *pk_rows);
+  });
+}
+
 Server::Server(engine::Database* db, engine::PartitionedExecutor* exec,
                uint64_t subscribers, Options opt)
     : db_(db),
@@ -378,19 +422,17 @@ void Server::HandleFrame(IoThread* t, const std::shared_ptr<Conn>& c,
     case DecodedFrame::Kind::kHello: {
       c->window = std::min(std::max(f.requested_window, 1u), opt_.max_window);
       c->handshaken = true;
-      std::vector<uint8_t> ack;
-      EncodeHelloAck(&ack, c->window,
-                     static_cast<uint16_t>(db_->num_sockets()),
-                     graphs_.subscribers());
-      QueueResponse(c, std::move(ack));
+      QueueResponse(c, [&](std::vector<uint8_t>* out) {
+        EncodeHelloAck(out, c->window,
+                       static_cast<uint16_t>(db_->num_sockets()),
+                       graphs_.subscribers());
+      });
       return;
     }
     case DecodedFrame::Kind::kTxns: {
       for (DecodedTxn& txn : f.txns) {
         if (draining) {
-          std::vector<uint8_t> ack;
-          EncodeTxnAck(&ack, txn.req_id, WireStatus::kShutdown);
-          QueueResponse(c, std::move(ack));
+          QueueTxnAck(c, txn.req_id, WireStatus::kShutdown);
           continue;
         }
         // Island quarantine in flight: shed, don't queue. Admitting now
@@ -399,9 +441,7 @@ void Server::HandleFrame(IoThread* t, const std::shared_ptr<Conn>& c,
         // kUnavailable tells the client to back off and retry.
         if (exec_->quarantining()) {
           obs_->Count(obs::CounterId::kNetTxnsShed);
-          std::vector<uint8_t> ack;
-          EncodeTxnAck(&ack, txn.req_id, WireStatus::kUnavailable);
-          QueueResponse(c, std::move(ack));
+          QueueTxnAck(c, txn.req_id, WireStatus::kUnavailable);
           continue;
         }
         // Admission control. window_used counts admitted requests whose
@@ -410,26 +450,20 @@ void Server::HandleFrame(IoThread* t, const std::shared_ptr<Conn>& c,
         // complete before the wave is submitted.
         if (c->window_used.load(std::memory_order_acquire) >= c->window) {
           obs_->Count(obs::CounterId::kNetTxnsShed);
-          std::vector<uint8_t> ack;
-          EncodeTxnAck(&ack, txn.req_id, WireStatus::kOverloaded);
-          QueueResponse(c, std::move(ack));
+          QueueTxnAck(c, txn.req_id, WireStatus::kOverloaded);
           continue;
         }
         if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
             opt_.max_inflight) {
           ReleaseInflight(1);
           obs_->Count(obs::CounterId::kNetTxnsShed);
-          std::vector<uint8_t> ack;
-          EncodeTxnAck(&ack, txn.req_id, WireStatus::kOverloaded);
-          QueueResponse(c, std::move(ack));
+          QueueTxnAck(c, txn.req_id, WireStatus::kOverloaded);
           continue;
         }
         auto g = BuildGraph(graphs_, txn.req);
         if (!g.ok()) {
           ReleaseInflight(1);
-          std::vector<uint8_t> ack;
-          EncodeTxnAck(&ack, txn.req_id, WireStatus::kError);
-          QueueResponse(c, std::move(ack));
+          QueueTxnAck(c, txn.req_id, WireStatus::kError);
           continue;
         }
         c->window_used.fetch_add(1, std::memory_order_acq_rel);
@@ -455,17 +489,19 @@ void Server::HandleFrame(IoThread* t, const std::shared_ptr<Conn>& c,
       HandlePkRead(c, std::move(f.pk));
       return;
     case DecodedFrame::Kind::kStats: {
-      std::vector<uint8_t> ack;
-      EncodeStatsAck(&ack, db_->StatsSnapshot().ToPrometheus());
-      QueueResponse(c, std::move(ack));
+      const std::string text = db_->StatsSnapshot().ToPrometheus();
+      QueueResponse(c, [&](std::vector<uint8_t>* out) {
+        EncodeStatsAck(out, text);
+      });
       return;
     }
     case DecodedFrame::Kind::kStatsSeries: {
-      std::vector<uint8_t> ack;
       const obs::Sampler* sampler = db_->sampler();
-      EncodeStatsSeriesAck(&ack, sampler != nullptr ? sampler->ToJson()
-                                                    : std::string("{}"));
-      QueueResponse(c, std::move(ack));
+      const std::string json =
+          sampler != nullptr ? sampler->ToJson() : std::string("{}");
+      QueueResponse(c, [&](std::vector<uint8_t>* out) {
+        EncodeStatsSeriesAck(out, json);
+      });
       return;
     }
     case DecodedFrame::Kind::kGoodbye:
@@ -480,9 +516,9 @@ void Server::HandlePkRead(const std::shared_ptr<Conn>& c, DecodedPkRead pk) {
   auto answer_all = [&](WireStatus ws) {
     std::vector<std::pair<WireStatus, int64_t>> rows(pk.keys.size(),
                                                      {ws, 0});
-    std::vector<uint8_t> ack;
-    EncodePkReadAck(&ack, pk.req_id, rows);
-    QueueResponse(c, std::move(ack));
+    QueueResponse(c, [&](std::vector<uint8_t>* out) {
+      EncodePkReadAck(out, pk.req_id, rows);
+    });
   };
   if (draining_.load(std::memory_order_acquire)) {
     answer_all(WireStatus::kShutdown);
@@ -564,31 +600,23 @@ void Server::SubmitWave(IoThread* t) {
     // admitted request and release its slots — nothing leaks.
     WireStatus ws = ToWireStatus(futures.status());
     for (IoThread::WaveItem& item : t->wave_items) {
-      std::vector<uint8_t> ack;
       if (item.pk) {
         for (auto& row : item.pk->rows) row = {ws, 0};
-        EncodePkReadAck(&ack, item.req_id, item.pk->rows);
-      } else {
-        EncodeTxnAck(&ack, item.req_id, ws);
       }
       item.conn->window_used.fetch_sub(1, std::memory_order_acq_rel);
-      QueueResponse(item.conn, std::move(ack));
+      QueueAck(item.conn, item.req_id, item.pk ? &item.pk->rows : nullptr,
+               ws);
       item.conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
       ReleaseInflight(1);
     }
   } else {
     auto& fs = futures.value();
     for (size_t i = 0; i < fs.size(); ++i) {
-      // Runs on the completing engine worker: encode, queue, poke the I/O
-      // thread — never block.
+      // Runs on the completing engine worker (for a group commit, the
+      // worker leading the flush): encode into the connection's buffer,
+      // poke the I/O thread — never block.
       fs[i].OnComplete([this, item = std::move(t->wave_items[i])](
                            const Status& s) mutable {
-        std::vector<uint8_t> ack;
-        if (item.pk) {
-          EncodePkReadAck(&ack, item.req_id, item.pk->rows);
-        } else {
-          EncodeTxnAck(&ack, item.req_id, ToWireStatus(s));
-        }
         obs_->RecordLatency(obs::HistId::kWireLatencyUs,
                             (obs_->NowNs() - item.t0_ns) / 1000);
         if (item.trace_id != 0)
@@ -597,7 +625,8 @@ void Server::SubmitWave(IoThread* t) {
         // Window slot first: the client may reuse it as soon as the ack
         // is readable. The drain counters follow the queued answer.
         item.conn->window_used.fetch_sub(1, std::memory_order_acq_rel);
-        QueueResponse(item.conn, std::move(ack));
+        QueueAck(item.conn, item.req_id, item.pk ? &item.pk->rows : nullptr,
+                 ToWireStatus(s));
         item.conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
         ReleaseInflight(1);
       });
@@ -605,29 +634,6 @@ void Server::SubmitWave(IoThread* t) {
   }
   t->wave_graphs.clear();
   t->wave_items.clear();
-}
-
-void Server::QueueResponse(const std::shared_ptr<Conn>& c,
-                           std::vector<uint8_t> bytes) {
-  if (c->closed.load(std::memory_order_acquire)) return;  // response dropped
-  obs_->Count(obs::CounterId::kNetFramesOut);
-  bool enqueue = false;
-  {
-    std::lock_guard lk(c->out_mu);
-    c->out.insert(c->out.end(), bytes.begin(), bytes.end());
-    if (!c->queued) {
-      c->queued = true;
-      enqueue = true;
-    }
-  }
-  if (enqueue) {
-    IoThread* t = c->owner;
-    {
-      std::lock_guard lk(t->dirty_mu);
-      t->dirty.push_back(c);
-    }
-    net::EventfdSignal(t->wake_fd);
-  }
 }
 
 bool Server::FlushConn(IoThread* t, const std::shared_ptr<Conn>& c) {

@@ -113,11 +113,20 @@ class Server {
   /// Submits the wave buffered by ReadConn/HandleFrame and attaches the
   /// completion-to-response callbacks.
   void SubmitWave(IoThread* t);
-  /// Appends encoded response bytes to c's outgoing buffer and schedules
-  /// the owning I/O thread to flush it. Safe from any thread; never
-  /// blocks beyond the short per-connection buffer mutex.
-  void QueueResponse(const std::shared_ptr<Conn>& c,
-                     std::vector<uint8_t> bytes);
+  /// Encodes one response frame straight into c's outgoing buffer —
+  /// `encode(std::vector<uint8_t>*)` appends it, under the per-connection
+  /// buffer mutex — and schedules the owning I/O thread to flush it. Safe
+  /// from any thread; never blocks beyond that mutex and the owner's
+  /// dirty-list mutex, so build large payloads before the call.
+  template <typename Encode>
+  void QueueResponse(const std::shared_ptr<Conn>& c, Encode&& encode);
+  void QueueTxnAck(const std::shared_ptr<Conn>& c, uint64_t req_id,
+                   WireStatus ws);
+  using PkRows = std::vector<std::pair<WireStatus, int64_t>>;
+  /// The answer to one admitted wave request: a PK_READ ack carrying
+  /// `pk_rows`, or a TXN ack with status `ws` when `pk_rows` is null.
+  void QueueAck(const std::shared_ptr<Conn>& c, uint64_t req_id,
+                const PkRows* pk_rows, WireStatus ws);
   /// I/O-thread only: writes c's buffered output to the socket; arms
   /// EPOLLOUT on a partial write. Returns false when the connection died.
   bool FlushConn(IoThread* t, const std::shared_ptr<Conn>& c);

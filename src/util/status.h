@@ -18,8 +18,6 @@ enum class StatusCode : uint8_t {
   kAlreadyExists,
   kInvalidArgument,
   kOutOfRange,
-  kDeadlockAbort,   ///< transaction must abort (wait-die victim)
-  kConflictAbort,   ///< 2PC participant voted no / validation failed
   kResourceExhausted,
   kInternal,
   kNotSupported,
@@ -46,12 +44,6 @@ class Status {
   static Status OutOfRange(std::string m) {
     return Status(StatusCode::kOutOfRange, std::move(m));
   }
-  static Status DeadlockAbort(std::string m = "wait-die abort") {
-    return Status(StatusCode::kDeadlockAbort, std::move(m));
-  }
-  static Status ConflictAbort(std::string m = "conflict abort") {
-    return Status(StatusCode::kConflictAbort, std::move(m));
-  }
   static Status ResourceExhausted(std::string m) {
     return Status(StatusCode::kResourceExhausted, std::move(m));
   }
@@ -72,12 +64,6 @@ class Status {
   StatusCode code() const { return code_; }
   const std::string& message() const { return msg_; }
 
-  /// True for the abort categories a transaction retry loop should handle.
-  bool IsRetryableAbort() const {
-    return code_ == StatusCode::kDeadlockAbort ||
-           code_ == StatusCode::kConflictAbort;
-  }
-
   std::string ToString() const {
     if (ok()) return "OK";
     return std::string(CodeName(code_)) + ": " + msg_;
@@ -90,8 +76,6 @@ class Status {
       case StatusCode::kAlreadyExists: return "AlreadyExists";
       case StatusCode::kInvalidArgument: return "InvalidArgument";
       case StatusCode::kOutOfRange: return "OutOfRange";
-      case StatusCode::kDeadlockAbort: return "DeadlockAbort";
-      case StatusCode::kConflictAbort: return "ConflictAbort";
       case StatusCode::kResourceExhausted: return "ResourceExhausted";
       case StatusCode::kInternal: return "Internal";
       case StatusCode::kNotSupported: return "NotSupported";

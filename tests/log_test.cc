@@ -3,18 +3,23 @@
 // group-commit / waiter semantics, the LogManager commit protocol
 // (epochs, tickets, watermark, generations), and the executor wiring
 // (per-partition shards, async acks, the centralized 1-shard
-// configuration, and the pooled submission path).
+// configuration, and the pooled submission path), the v2 varint
+// encoding's round trip, and the committer-led group-commit path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "engine/database.h"
 #include "engine/partitioned_executor.h"
+#include "fault/injector.h"
 #include "log/log_manager.h"
 #include "log/recovery.h"
 #include "mem/chunk_pool.h"
+#include "util/rng.h"
 #include "workload/micro.h"
 
 namespace atrapos {
@@ -156,6 +161,185 @@ TEST(LogShardTest, WaitDurableAfterStopReturnsImmediately) {
   mgr.Stop();  // final flush freezes durable at 1
   shard->AppendOne(r, nullptr, nullptr);  // lsn 2, never durable
   EXPECT_EQ(shard->WaitDurable(2), 1u);   // returns, does not hang
+}
+
+// ---- v2 varint encoding -----------------------------------------------------
+
+struct ScopedInjector {
+  explicit ScopedInjector(fault::Injector* inj) : prev(fault::Get()) {
+    fault::Install(inj);
+  }
+  ~ScopedInjector() { fault::Install(prev); }
+  fault::Injector* prev;
+};
+
+/// A value of a random bit width, so every varint length (1..10 bytes)
+/// shows up.
+uint64_t RandomWidth(Rng& rng) {
+  uint64_t bits = rng.Uniform(65);
+  if (bits == 0) return 0;
+  uint64_t v = rng.Next();
+  return bits == 64 ? v : v & ((uint64_t{1} << bits) - 1);
+}
+
+/// One random record with only the fields its type serializes set (the
+/// rest stay 0, which is what the parse reports for them).
+log::PendingRecord RandomRecord(Rng& rng, std::vector<uint8_t>* images) {
+  static constexpr LogType kTypes[] = {LogType::kInsert, LogType::kUpdate,
+                                       LogType::kDelete, LogType::kCommit,
+                                       LogType::kAbort};
+  log::PendingRecord r;
+  r.type = kTypes[rng.Uniform(5)];
+  r.txn = RandomWidth(rng);
+  if (log::IsMarkerType(r.type)) {
+    r.marker_expected = static_cast<uint16_t>(rng.Uniform(65536));
+    r.epoch = RandomWidth(rng);
+    return r;
+  }
+  r.table = static_cast<uint32_t>(rng.Uniform(65536));
+  r.key = RandomWidth(rng);
+  r.is_diff = r.type == LogType::kUpdate && rng.Chance(0.5);
+  if (r.is_diff) r.diff_offset = static_cast<uint16_t>(rng.Uniform(65536));
+  r.image_offset = static_cast<uint32_t>(images->size());
+  r.image_size = r.type == LogType::kDelete
+                     ? 0
+                     : static_cast<uint32_t>(rng.Uniform(300));
+  for (uint32_t i = 0; i < r.image_size; ++i)
+    images->push_back(static_cast<uint8_t>(rng.Next()));
+  return r;
+}
+
+void ExpectSameRecord(const log::PendingRecord& want,
+                      const std::vector<uint8_t>& images,
+                      const log::RecoveredRecord& got, Lsn lsn) {
+  EXPECT_EQ(got.lsn, lsn);
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.txn, want.txn);
+  EXPECT_EQ(got.table, want.table);
+  EXPECT_EQ(got.key, want.key);
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.marker_expected, want.marker_expected);
+  EXPECT_EQ(got.is_diff, want.is_diff);
+  EXPECT_EQ(got.diff_offset, want.diff_offset);
+  std::vector<uint8_t> img(images.begin() + want.image_offset,
+                           images.begin() + want.image_offset +
+                               want.image_size);
+  EXPECT_EQ(got.image, img);
+}
+
+// Property: any record, boundary values included, parses back exactly as
+// it was staged.
+TEST(LogEncodingTest, RandomRecordsRoundTripExactly) {
+  log::LogManager mgr(ManualFlush());
+  log::LogShard* shard = mgr.shard(mgr.AddShard(nullptr, nullptr));
+  Rng rng(2024);
+  std::vector<log::PendingRecord> all;
+  std::vector<uint8_t> images;
+  // Boundary records first: extreme varints, the widest table id, and a
+  // zero-length diff.
+  log::PendingRecord r;
+  r.type = LogType::kCommit;
+  r.txn = UINT64_MAX;
+  r.epoch = UINT64_MAX;
+  r.marker_expected = UINT16_MAX;
+  all.push_back(r);
+  r = log::PendingRecord();
+  r.type = LogType::kUpdate;
+  r.txn = UINT64_MAX;
+  r.key = UINT64_MAX;
+  r.table = 65535;
+  r.is_diff = true;
+  r.diff_offset = UINT16_MAX;
+  r.image_offset = static_cast<uint32_t>(images.size());
+  all.push_back(r);  // zero-length diff
+  r = log::PendingRecord();
+  r.type = LogType::kAbort;  // every field 0
+  all.push_back(r);
+  for (int i = 0; i < 2000; ++i) all.push_back(RandomRecord(rng, &images));
+  // Appended in random batch sizes, like drained worker batches.
+  for (size_t i = 0; i < all.size();) {
+    size_t n = std::min<size_t>(1 + rng.Uniform(16), all.size() - i);
+    shard->AppendBatch(all.data() + i, n, images.data(), nullptr);
+    i += n;
+  }
+  mgr.FlushAll();
+  log::ShardSnapshot snap = shard->SnapshotDurable();
+  EXPECT_FALSE(snap.torn);
+  ASSERT_EQ(snap.records.size(), all.size());
+  for (size_t i = 0; i < all.size(); ++i)
+    ExpectSameRecord(all[i], images, snap.records[i], i + 1);
+}
+
+// A record that exactly fills a chunk: the v2 header of an update with
+// the widest fields is 29 bytes (type byte, table 3, txn 10, key 10, diff
+// offset 3, size 2), so 4067 payload bytes fill a 4096-byte chunk.
+TEST(LogEncodingTest, ImageFillingAWholeChunkRoundTrips) {
+  log::LogManager mgr(ManualFlush());
+  log::LogShard* shard = mgr.shard(mgr.AddShard(nullptr, nullptr));
+  const uint32_t kImage = static_cast<uint32_t>(mem::kPartitionChunkBytes) - 29;
+  std::vector<uint8_t> images(kImage);
+  for (uint32_t i = 0; i < kImage; ++i) images[i] = static_cast<uint8_t>(i);
+  log::PendingRecord r;
+  r.type = LogType::kUpdate;
+  r.txn = UINT64_MAX;
+  r.key = UINT64_MAX;
+  r.table = 65535;
+  r.is_diff = true;
+  r.diff_offset = UINT16_MAX;
+  r.image_size = kImage;
+  std::vector<log::PendingRecord> recs = {r, r};  // two chunks, one each
+  shard->AppendBatch(recs.data(), recs.size(), images.data(), nullptr);
+  EXPECT_EQ(shard->bytes_logged(), 2 * mem::kPartitionChunkBytes);
+  mgr.FlushAll();
+  log::ShardSnapshot snap = shard->SnapshotDurable();
+  ASSERT_EQ(snap.records.size(), 2u);
+  for (size_t i = 0; i < 2; ++i)
+    ExpectSameRecord(r, images, snap.records[i], i + 1);
+}
+
+// A torn tail that cuts a record inside its varint header still ends the
+// parse there and is reported; every earlier record survives intact.
+TEST(LogEncodingTest, TornTailInsideVarintHeaderEndsParse) {
+  // Both records are all header or nearly so: the modeled cut at half
+  // the record lands inside the txn varint.
+  log::PendingRecord marker;
+  marker.type = LogType::kCommit;
+  marker.txn = UINT64_MAX;
+  marker.epoch = UINT64_MAX;
+  marker.marker_expected = 3;
+  log::PendingRecord data;
+  data.type = LogType::kInsert;
+  data.table = 65535;
+  data.txn = UINT64_MAX;
+  data.key = UINT64_MAX;
+  data.image_size = 2;
+  std::vector<uint8_t> images = {0xAB, 0xCD};
+  for (const log::PendingRecord& victim : {marker, data}) {
+    fault::Injector inj(5);
+    inj.Arm(fault::SiteId::kLogTornTail, {.trigger_at = 4});
+    ScopedInjector scope(&inj);
+    log::LogManager mgr(ManualFlush());
+    log::LogShard* shard = mgr.shard(mgr.AddShard(nullptr, nullptr));
+    std::vector<log::PendingRecord> recs;
+    for (int i = 0; i < 6; ++i) {
+      log::PendingRecord r = victim;
+      r.txn = UINT64_MAX - static_cast<uint64_t>(i);
+      recs.push_back(r);
+    }
+    shard->AppendBatch(recs.data(), recs.size(), images.data(), nullptr);
+    mgr.FlushAll();
+    ASSERT_EQ(inj.fires(fault::SiteId::kLogTornTail), 1u);
+    log::ShardSnapshot snap = shard->SnapshotDurable();
+    EXPECT_TRUE(snap.torn);
+    EXPECT_EQ(snap.torn_lsn, 4u);
+    ASSERT_EQ(snap.records.size(), 3u);
+    for (size_t i = 0; i < 3; ++i)
+      ExpectSameRecord(recs[i], images, snap.records[i], i + 1);
+    // The cut falls after the type byte and before the header ends.
+    const uint64_t rec_bytes = shard->bytes_logged() / recs.size();
+    EXPECT_GT(snap.torn_cut_byte, 3 * rec_bytes + 1);
+    EXPECT_LT(snap.torn_cut_byte, 3 * rec_bytes + rec_bytes - images.size());
+  }
 }
 
 // ---- LogManager: tickets, watermark, generations ---------------------------
@@ -476,6 +660,141 @@ TEST(ExecutorDurabilityTest, RepartitionSealsGenerationAndKeepsLogging) {
     ASSERT_TRUE(fresh->Read(k, &row).ok());
     EXPECT_EQ(row.GetInt(1), 101) << "key " << k;
   }
+}
+
+// ---- Committer-led group commit ---------------------------------------------
+
+// Acks do not depend on the idle flusher: with a one-second tick, 200
+// sequential group commits would take 200 s if each waited for it.
+TEST(GroupCommitTest, AcksWithoutWaitingForTheIdleTick) {
+  hw::Topology topo = hw::Topology::SingleSocket(2);
+  Database db({.topo = topo});
+  db.AddTable(MicroTable(64, Bounds(64, 2)));
+  PartitionedExecutor::Options o = GroupOpts();
+  o.log_flush_interval_us = 1'000'000;
+  PartitionedExecutor exec(&db, topo, OneTableScheme(64, 2), o);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(exec.SubmitAndWait(AddDelta(0, i % 64, 1)).ok());
+    // Checked per commit, so a tick-bound commit path fails within a
+    // tick or two instead of after 200.
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << "commit " << i;
+  }
+  // Each ack came after its commit was durable.
+  EXPECT_EQ(exec.log_manager()->durable_epoch(), 200u);
+}
+
+// Manual mode stays manual: no worker flushes, so group commits wait for
+// the test's FlushAll.
+TEST(GroupCommitTest, ManualModeAcksOnlyOnFlushAll) {
+  hw::Topology topo = hw::Topology::SingleSocket(2);
+  Database db({.topo = topo});
+  db.AddTable(MicroTable(16, Bounds(16, 2)));
+  PartitionedExecutor::Options o = GroupOpts();
+  o.log_manual_flush = true;
+  PartitionedExecutor exec(&db, topo, OneTableScheme(16, 2), o);
+  std::vector<engine::TxnFuture> futures;
+  for (uint64_t k = 0; k < 8; ++k) {
+    auto f = exec.Submit(AddDelta(0, k, 1));
+    ASSERT_TRUE(f.ok());
+    futures.push_back(f.take());
+  }
+  log::LogManager* mgr = exec.log_manager();
+  // Every marker appended (8 data records + 8 markers), none acked.
+  for (int i = 0; i < 2000 && mgr->num_records() < 16; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(mgr->num_records(), 16u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (auto& f : futures) EXPECT_FALSE(f.Done());
+  EXPECT_EQ(mgr->durable_epoch(), 0u);
+  mgr->FlushAll();
+  for (auto& f : futures) {
+    EXPECT_TRUE(f.Done());
+    EXPECT_TRUE(f.Wait().ok());
+  }
+  EXPECT_EQ(mgr->durable_epoch(), 8u);
+}
+
+/// Submits `per_thread` single- and two-partition writes from each of
+/// `threads` submitters and checks every future settles exactly once.
+void RunLeaderHandoffStress(PartitionedExecutor* exec, int threads,
+                            int per_thread, uint64_t rows) {
+  std::vector<std::atomic<int>> settled(
+      static_cast<size_t>(threads * per_thread));
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < threads; ++t) {
+    submitters.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      std::vector<engine::TxnFuture> futures;
+      for (int i = 0; i < per_thread; ++i) {
+        uint64_t k = rng.Uniform(rows);
+        ActionGraph g = AddDelta(0, k, 1);
+        if (i % 3 == 0) {
+          // A second partition: two markers per commit, one per shard.
+          uint64_t k2 = (k + rows / 2) % rows;
+          g.Add(0, k2, [k2](Table* tbl, ActionCtx&) {
+            Tuple row;
+            ATRAPOS_RETURN_NOT_OK(tbl->Read(k2, &row));
+            row.SetInt(1, row.GetInt(1) + 1);
+            return tbl->Update(k2, row);
+          });
+        }
+        auto f = exec->Submit(std::move(g));
+        ASSERT_TRUE(f.ok());
+        const size_t slot = static_cast<size_t>(t * per_thread + i);
+        f.value().OnComplete([&settled, slot](const Status& s) {
+          EXPECT_TRUE(s.ok());
+          settled[slot].fetch_add(1);
+        });
+        futures.push_back(f.take());
+        // Bounded pipelining per submitter.
+        if (futures.size() >= 16) {
+          for (auto& fut : futures) EXPECT_TRUE(fut.Wait().ok());
+          futures.clear();
+        }
+      }
+      for (auto& fut : futures) EXPECT_TRUE(fut.Wait().ok());
+    });
+  }
+  for (auto& t : submitters) t.join();
+  exec->Drain();
+  exec->log_manager()->FlushAll();
+  for (size_t i = 0; i < settled.size(); ++i)
+    ASSERT_EQ(settled[i].load(), 1) << "future " << i;
+  EXPECT_EQ(exec->log_manager()->durable_epoch(),
+            exec->log_manager()->last_epoch());
+  EXPECT_EQ(exec->log_manager()->last_epoch(),
+            static_cast<uint64_t>(threads * per_thread));
+}
+
+// Several submitters against two workers and the idle tick: leadership
+// passes between both workers and the flusher, and no request is lost in
+// a handoff.
+TEST(GroupCommitTest, LeaderHandoffSettlesEveryFutureOnce) {
+  hw::Topology topo = hw::Topology::SingleSocket(2);
+  Database db({.topo = topo});
+  db.AddTable(MicroTable(64, Bounds(64, 2)));
+  PartitionedExecutor::Options o = GroupOpts();
+  o.log_flush_interval_us = 20;
+  PartitionedExecutor exec(&db, topo, OneTableScheme(64, 2), o);
+  RunLeaderHandoffStress(&exec, 4, 300, 64);
+}
+
+// Short flushes without manual mode: committers and the idle tick keep
+// re-flushing until every window completes.
+TEST(GroupCommitTest, ShortFlushesConvergeWithoutManualMode) {
+  fault::Injector inj(11);
+  inj.Arm(fault::SiteId::kLogShortFlush, {.probability = 0.5});
+  ScopedInjector scope(&inj);
+  hw::Topology topo = hw::Topology::SingleSocket(2);
+  Database db({.topo = topo});
+  db.AddTable(MicroTable(64, Bounds(64, 2)));
+  PartitionedExecutor::Options o = GroupOpts();
+  o.log_flush_interval_us = 50;
+  PartitionedExecutor exec(&db, topo, OneTableScheme(64, 2), o);
+  RunLeaderHandoffStress(&exec, 2, 100, 64);
+  EXPECT_GT(inj.fires(fault::SiteId::kLogShortFlush), 0u);
 }
 
 }  // namespace

@@ -27,13 +27,6 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(s.ToString(), "NotFound: key 7");
 }
 
-TEST(StatusTest, RetryableAborts) {
-  EXPECT_TRUE(Status::DeadlockAbort().IsRetryableAbort());
-  EXPECT_TRUE(Status::ConflictAbort().IsRetryableAbort());
-  EXPECT_FALSE(Status::NotFound().IsRetryableAbort());
-  EXPECT_FALSE(Status::OK().IsRetryableAbort());
-}
-
 TEST(ResultTest, HoldsValueOrStatus) {
   Result<int> ok(42);
   ASSERT_TRUE(ok.ok());
