@@ -8,12 +8,15 @@
 //   --real       — the same question asked of the real-thread engine: TATP
 //                  ActionGraphs at --depth/--batch with the obs registry
 //                  (src/obs/) fully off, metrics-on/tracing-off (the
-//                  production configuration), and metrics+tracing. Each
-//                  configuration runs --reps times and the best rep is kept
-//                  (CI machines are noisy; overhead is a property of the
-//                  fastest run, not the median scheduler hiccup).
-//                  --max_overhead_pct=<p> exits 2 when the metrics-on
-//                  configuration loses more than p% TPS vs metrics-off;
+//                  production configuration), metrics+tracing, and
+//                  metrics+sampler(+hw), in --reps paired rounds whose
+//                  run order alternates (forward, then reversed). The
+//                  verdict is each configuration's median per-round TPS
+//                  ratio vs obs-off, reported with its IQR.
+//                  --max_overhead_pct=<p> exits 2 when the metrics-on or
+//                  the sampler configuration loses more than p% TPS, and
+//                  requires --reps >= 15 (fewer paired rounds leave the
+//                  median inside the host's drift);
 //                  --trace_out=<path> dumps a chrome://tracing JSON from the
 //                  tracing rep; --json=<path> writes the measured rows.
 #include <algorithm>
@@ -148,37 +151,55 @@ RealResult RunReal(const hw::Topology& topo, uint64_t subscribers,
   return out;
 }
 
-/// Runs every configuration `reps` times, interleaved (off, on, trace,
-/// off, on, trace, ...) so frequency scaling and cache warm-up hit all
-/// configurations equally instead of penalizing whichever ran first.
-/// Returns one row per round per configuration: rounds[i][c].
+/// Fewest paired rounds the overhead gate accepts: with fewer, the
+/// median ratio is narrower than the host's minute-scale drift and the 5%
+/// verdict flips between runs of the same code.
+constexpr int kMinGateRounds = 15;
+
+/// Runs every configuration once per round, `reps` rounds, alternating
+/// the order within a round (off, on, trace, ...; then ..., trace, on,
+/// off) so frequency scaling, warm-up and a drifting neighbor hit every
+/// configuration from both sides instead of always favoring whichever ran
+/// first. Returns one row per round per configuration: rounds[i][c].
 std::vector<std::vector<RealResult>> RunRounds(
     int reps, const std::vector<std::function<RealResult(bool)>>& runs) {
   std::vector<std::vector<RealResult>> rounds;
+  const size_t n = runs.size();
   for (int i = 0; i < reps; ++i) {
-    rounds.emplace_back();
-    for (const auto& run : runs)
-      rounds.back().push_back(run(/*last_round=*/i + 1 == reps));
+    std::vector<RealResult> row(n);
+    for (size_t k = 0; k < n; ++k) {
+      size_t c = i % 2 == 0 ? k : n - 1 - k;
+      row[c] = runs[c](/*last_round=*/i + 1 == reps);
+    }
+    rounds.push_back(std::move(row));
   }
   return rounds;
 }
 
-/// Median of the per-round TPS ratios config[c] / config[0]. Pairing each
-/// configuration against the baseline measured in the *same* round
-/// cancels the machine's slow drift (thermal/frequency/noisy neighbors),
-/// and the median discards rounds where one side hit a scheduler hiccup —
-/// overhead inferred from unpaired best-of reps flaps wildly on shared CI
-/// runners.
-double MedianRatioVsBaseline(const std::vector<std::vector<RealResult>>& r,
-                             size_t c) {
+/// Quartiles of the per-round TPS ratios config[c] / config[0]. Pairing
+/// each configuration against the baseline measured in the *same* round
+/// cancels the machine's slow drift (thermal/frequency/noisy neighbors);
+/// the median discards rounds where one side hit a scheduler hiccup, and
+/// the IQR says how wide the paired ratios spread.
+struct RatioQuartiles {
+  double q1 = 1.0, median = 1.0, q3 = 1.0;
+};
+
+RatioQuartiles RatioVsBaseline(const std::vector<std::vector<RealResult>>& r,
+                               size_t c) {
   std::vector<double> ratios;
   for (const auto& round : r)
     if (round[0].tps > 0) ratios.push_back(round[c].tps / round[0].tps);
-  if (ratios.empty()) return 1.0;
+  if (ratios.empty()) return {};
   std::sort(ratios.begin(), ratios.end());
-  size_t n = ratios.size();
-  return n % 2 == 1 ? ratios[n / 2]
-                    : (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0;
+  // Linear interpolation between closest ranks (numpy's default).
+  auto at = [&](double q) {
+    double pos = q * static_cast<double>(ratios.size() - 1);
+    size_t lo = static_cast<size_t>(pos);
+    size_t hi = std::min(lo + 1, ratios.size() - 1);
+    return ratios[lo] + (pos - static_cast<double>(lo)) * (ratios[hi] - ratios[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
 }
 
 }  // namespace
@@ -238,9 +259,17 @@ int main(int argc, char** argv) {
   std::string series_out = flags.GetString("series_out", "");
   std::string json_path = flags.GetString("json", "");
 
+  if (max_overhead_pct > 0 && reps < kMinGateRounds) {
+    std::fprintf(stderr,
+                 "FAIL: --max_overhead_pct needs --reps >= %d paired rounds "
+                 "(got %d)\n",
+                 kMinGateRounds, reps);
+    return 2;
+  }
+
   hw::Topology topo = hw::Topology::SingleSocket(cores);
   std::printf("real engine: %llu subscribers, %d partitions, depth %zu, "
-              "batch %zu, %.1fs x %d reps (best kept)\n\n",
+              "batch %zu, %.1fs x %d paired rounds\n\n",
               static_cast<unsigned long long>(subscribers), cores, depth,
               batch, real_duration, reps);
 
@@ -284,32 +313,40 @@ int main(int argc, char** argv) {
   RealResult on = best_of(1);
   RealResult tr = best_of(2);
   RealResult sm = best_of(3);
-  double on_overhead = (1.0 - MedianRatioVsBaseline(rounds, 1)) * 100.0;
-  double tr_overhead = (1.0 - MedianRatioVsBaseline(rounds, 2)) * 100.0;
-  double sm_overhead = (1.0 - MedianRatioVsBaseline(rounds, 3)) * 100.0;
-  TablePrinter tp({"Config", "TPS", "Overhead (%)", "P50us", "P95us",
-                   "P99us"});
+  const RatioQuartiles on_ratio = RatioVsBaseline(rounds, 1);
+  const RatioQuartiles tr_ratio = RatioVsBaseline(rounds, 2);
+  const RatioQuartiles sm_ratio = RatioVsBaseline(rounds, 3);
+  double on_overhead = (1.0 - on_ratio.median) * 100.0;
+  double tr_overhead = (1.0 - tr_ratio.median) * 100.0;
+  double sm_overhead = (1.0 - sm_ratio.median) * 100.0;
+  TablePrinter tp({"Config", "TPS", "Overhead (%)", "Ratio IQR", "P50us",
+                   "P95us", "P99us"});
+  auto iqr = [](const RatioQuartiles& q) {
+    return TablePrinter::Num(q.q1, 3) + "-" + TablePrinter::Num(q.q3, 3);
+  };
   tp.AddRow({"obs off", TablePrinter::Num(off.tps, 0),
-             TablePrinter::Num(0.0, 2), "-", "-", "-"});
+             TablePrinter::Num(0.0, 2), "-", "-", "-", "-"});
   tp.AddRow({"metrics on", TablePrinter::Num(on.tps, 0),
-             TablePrinter::Num(on_overhead, 2),
+             TablePrinter::Num(on_overhead, 2), iqr(on_ratio),
              TablePrinter::Int(static_cast<long long>(on.commit_p50_us)),
              TablePrinter::Int(static_cast<long long>(on.commit_p95_us)),
              TablePrinter::Int(static_cast<long long>(on.commit_p99_us))});
   tp.AddRow({"metrics+trace", TablePrinter::Num(tr.tps, 0),
-             TablePrinter::Num(tr_overhead, 2),
+             TablePrinter::Num(tr_overhead, 2), iqr(tr_ratio),
              TablePrinter::Int(static_cast<long long>(tr.commit_p50_us)),
              TablePrinter::Int(static_cast<long long>(tr.commit_p95_us)),
              TablePrinter::Int(static_cast<long long>(tr.commit_p99_us))});
   tp.AddRow({sm.hw_available ? "metrics+sampler+hw" : "metrics+sampler",
              TablePrinter::Num(sm.tps, 0), TablePrinter::Num(sm_overhead, 2),
+             iqr(sm_ratio),
              TablePrinter::Int(static_cast<long long>(sm.commit_p50_us)),
              TablePrinter::Int(static_cast<long long>(sm.commit_p95_us)),
              TablePrinter::Int(static_cast<long long>(sm.commit_p99_us))});
   tp.Print();
-  std::printf("\nTPS = best rep per configuration; Overhead = median of the "
-              "per-round paired\nratios vs obs-off. Paper budget: <= 3.32%% "
-              "(Table II worst case). The\nmetrics-on row is the production "
+  std::printf("\nTPS = best round per configuration; Overhead = 1 - median "
+              "of the per-round\npaired TPS ratios vs obs-off (IQR of those "
+              "ratios alongside). Paper\nbudget: <= 3.32%% (Table II worst "
+              "case). The metrics-on row is the\nproduction "
               "configuration.\n");
 
   if (!json_path.empty()) {
@@ -328,8 +365,14 @@ int main(int argc, char** argv) {
         .Add("off_tps", off.tps)
         .Add("metrics_tps", on.tps)
         .Add("metrics_overhead_pct", on_overhead)
+        .Add("metrics_ratio_median", on_ratio.median)
+        .Add("metrics_ratio_q1", on_ratio.q1)
+        .Add("metrics_ratio_q3", on_ratio.q3)
         .Add("trace_tps", tr.tps)
         .Add("trace_overhead_pct", tr_overhead)
+        .Add("trace_ratio_median", tr_ratio.median)
+        .Add("trace_ratio_q1", tr_ratio.q1)
+        .Add("trace_ratio_q3", tr_ratio.q3)
         .Add("commit_p50_us", static_cast<long long>(on.commit_p50_us))
         .Add("commit_p95_us", static_cast<long long>(on.commit_p95_us))
         .Add("commit_p99_us", static_cast<long long>(on.commit_p99_us))
@@ -339,6 +382,9 @@ int main(int argc, char** argv) {
              static_cast<long long>(tr.trace_dropped))
         .Add("sampler_tps", sm.tps)
         .Add("sampler_overhead_pct", sm_overhead)
+        .Add("sampler_ratio_median", sm_ratio.median)
+        .Add("sampler_ratio_q1", sm_ratio.q1)
+        .Add("sampler_ratio_q3", sm_ratio.q3)
         .Add("sampler_ticks", static_cast<long long>(sm.sampler_ticks))
         .Add("hw_available", static_cast<long long>(sm.hw_available ? 1 : 0));
     if (!doc.WriteTo(json_path)) return 1;

@@ -14,6 +14,7 @@
 #include "hw/binding.h"
 #include "log/shard_writer.h"
 #include "storage/interleave.h"
+#include "util/spin.h"
 
 namespace atrapos::engine {
 
@@ -404,7 +405,8 @@ void PartitionedExecutor::StartWorkers() {
 }
 
 void PartitionedExecutor::WorkerLoop(Worker* w) {
-  hw::BindCurrentThread(topo_, w->core);
+  const bool poll = PollBeforePark(hw::BindCurrentThread(topo_, w->core),
+                                   util::HostCpus(), workers_.size());
   // Hardware counters must be opened by the measured thread itself
   // (perf_event_open with pid=0); the capability probe inside makes this
   // a no-op where perf is unavailable. Read cross-thread by the
@@ -703,6 +705,16 @@ void PartitionedExecutor::WorkerLoop(Worker* w) {
     // every inbox empty with stop set means no task can ever arrive
     // again.
     if (w->stop.load(std::memory_order_acquire)) break;
+    // Poll before parking: the next wave usually lands within
+    // microseconds, and while `parked` stays false its producer's Wake
+    // finds nothing to notify — no futex on either side.
+    if (poll && util::PollFor(kWorkerPollWindow, [&] {
+          if (w->stop.load(std::memory_order_relaxed)) return true;
+          for (const Lane& l : lanes)
+            if (!l.p->inbox.Empty()) return true;
+          return false;
+        }))
+      continue;
     // Park protocol (consumer side of the Dekker pair, see
     // mpsc_queue.h): declare intent, re-check every inbox and stop with
     // seq_cst, only then sleep. Producers that published before the
@@ -916,11 +928,10 @@ void PartitionedExecutor::RunAction(const ActionTask& task, bool zombie) {
   if (tracing)
     obs_->Trace(obs::SpanId::kAction, obs::TracePhase::kComplete, st->trace_id,
                 obs_->NowNs() - a0);
-  if (!s.ok()) {
-    std::lock_guard lk(st->mu);
-    if (st->first_error.ok()) st->first_error = std::move(s);
-    st->failed.store(true, std::memory_order_release);
-  }
+  // The first failure claims `failed` and records its status; the
+  // fetch_sub below releases the write to the stage's last finisher.
+  if (!s.ok() && !st->failed.exchange(true, std::memory_order_relaxed))
+    st->first_error = std::move(s);
   // The last action of a stage advances the graph: abort at the RVP on
   // the first failure, fan out the next stage (grouped publish, one
   // enqueue + one wake per destination partition), or finalize.
@@ -929,13 +940,8 @@ void PartitionedExecutor::RunAction(const ActionTask& task, bool zombie) {
   if (tracing)
     obs_->Trace(obs::SpanId::kRvpResolve, obs::TracePhase::kInstant,
                 st->trace_id, st->next_stage - 1);
-  if (st->failed.load(std::memory_order_acquire)) {
-    Status err;
-    {
-      std::lock_guard lk(st->mu);
-      err = st->first_error;
-    }
-    FinishTxn(st, std::move(err));
+  if (st->failed.load(std::memory_order_relaxed)) {
+    FinishTxn(st, std::move(st->first_error));
   } else if (st->next_stage < st->graph.stages_.size() &&
              !st->graph.stages_[st->next_stage].empty()) {
     Publisher pub;
@@ -1010,6 +1016,8 @@ void PartitionedExecutor::FinishTxn(internal::TxnState* st, Status s) {
     r.marker_expected = 1;
     r.ticket = ticket;
     log::Lsn lsn = central_shard_->AppendOne(r, nullptr, nullptr);
+    // The central log's commits are flushed by the idle flusher's tick.
+    log_->NoteFlushOwed();
     if (opt_.durability == DurabilityMode::kGroup)
       central_shard_->WaitDurable(lsn);
     CompleteTxn(st, std::move(s));
@@ -1068,22 +1076,20 @@ void PartitionedExecutor::CompleteTxn(internal::TxnState* st, Status s) {
     std::lock_guard lk(listener_mu_);
     listener_cv_.notify_all();
   }
-  // Two-step publish (see TxnState): run the callback before `done` flips
-  // so it completes strictly before Wait() returns; an OnComplete racing
-  // in after `completing` runs the callback on the registering thread.
-  std::function<void(const Status&)> cb;
-  {
-    std::lock_guard lk(st->mu);
-    st->status = s;
-    st->completing = true;
-    cb = std::move(st->callback);
+  // Completion-word publish (see TxnState): the callback runs after
+  // kCompleting and before kDone, so it returns strictly before Wait()
+  // does; an OnComplete that loses the race to kCompleting runs the
+  // callback on the registering thread. `keep` holds *st alive through
+  // the notify even if the woken client drops its future at once.
+  using S = internal::TxnState;
+  st->status = s;
+  if (st->word.fetch_or(S::kCompleting, std::memory_order_acq_rel) &
+      S::kCallback) {
+    std::function<void(const Status&)> cb = std::move(st->callback);
+    cb(s);
   }
-  if (cb) cb(s);
-  {
-    std::lock_guard lk(st->mu);
-    st->done = true;
-  }
-  st->cv.notify_all();
+  if (st->word.fetch_or(S::kDone, std::memory_order_acq_rel) & S::kWaiter)
+    st->word.notify_all();
   if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     std::lock_guard lk(inflight_mu_);
     inflight_cv_.notify_all();

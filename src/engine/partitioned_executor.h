@@ -30,9 +30,23 @@
 // each non-empty inbox's whole batch per visit (so a continuously fed
 // partition delays a same-core sibling by at most one batch), takes one
 // timestamp per batch, and flushes monitoring and the executed-action
-// counter once per batch. It parks only after a full pass found every
-// inbox empty. Inbox chunks come from a per-partition pool
+// counter once per batch. Inbox chunks come from a per-partition pool
 // (mem::ChunkPool), so steady-state submission allocates nothing.
+//
+// Parking: a worker parks only after a full pass found every inbox empty,
+// and — when it polls (below) — only after re-polling its inboxes for
+// kWorkerPollWindow (100 µs, CpuRelax between probes, a yield every 16 so
+// an unpinned thread woken on this CPU is not held off) found them still
+// empty. While it polls its `parked` flag stays false, so a producer's
+// Wake finds nothing to claim and neither side enters the kernel: on the
+// in-process commit path the next wave usually lands within
+// microseconds. A worker polls only when its BindCurrentThread succeeded
+// (it owns a CPU) and the host has more CPUs than the executor has
+// workers (PollBeforePark); otherwise it parks at once, as it always did.
+// After the window the park protocol is unchanged: set `parked`, re-check
+// every inbox and `stop` with seq_cst (the Dekker pair documented in
+// mpsc_queue.h), then sleep on the worker's condvar until a producer
+// claims the wake.
 //
 // Durability (Options::durability, src/log/): each partition owns a log
 // shard on its island; workers stage each partition batch's after-images
@@ -41,11 +55,14 @@
 // until the transaction's markers reach the configured durability point
 // (asynchronous acks — workers never block in a flush window, and the
 // OnComplete-before-Wait ordering guarantee is preserved on the deferred
-// path). Repartition() seals the shard generation and places fresh shards
+// path). A TxnFuture settles through one atomic completion word (see
+// txn_future.h): completion takes no lock and makes a futex call only
+// when a client is actually asleep in Wait(). Repartition() seals the shard generation and places fresh shards
 // with the new partitions; log::Recover replays all generations.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -82,6 +99,21 @@ struct ActionTask {
   storage::Table* table;
 };
 
+/// How long a worker whose pass found every inbox empty keeps polling them
+/// before it parks. Long enough to span a closed-loop client's round trip
+/// (collect acks, build and submit the next wave) on a cache-resident
+/// workload; chosen by a window sweep on tatp-commit (see CHANGES.md).
+inline constexpr std::chrono::microseconds kWorkerPollWindow{100};
+
+/// Whether a worker polls before parking: only when its thread owns a CPU
+/// (`bound` — hw::BindCurrentThread set OS affinity) and the host has a
+/// CPU beyond the executor's `workers`, left for the submitters it waits
+/// on. Otherwise a polling worker would steal the CPU from the very thread
+/// that feeds it, and the worker parks at once as before.
+constexpr bool PollBeforePark(bool bound, unsigned host_cpus, size_t workers) {
+  return bound && host_cpus > workers;
+}
+
 /// How submitted transactions are made durable (see src/log/).
 enum class DurabilityMode {
   kOff,    ///< no logging (the seed behavior)
@@ -100,11 +132,12 @@ class PartitionedExecutor : public Database::Drainable {
     /// flush window) — the baseline the paper's Fig. 4 logging slice
     /// measures against.
     int log_shards = 0;
-    /// Period of the log's idle flusher. Per-partition group commits do
-    /// not wait for it — the worker that appends a commit marker leads
-    /// the flush — so it only bounds async-mode durability lag, retries
-    /// of short (faulted) flushes, leftover flush requests, and the
-    /// centralized (log_shards = 1) kGroup commit's wait.
+    /// Tick of the log's idle flusher, which applies only while a flush
+    /// is owed to it; with nothing owed the flusher sleeps. Per-partition
+    /// group commits never owe it one — the worker that appends a commit
+    /// marker leads the flush — so the tick only bounds async-mode
+    /// durability lag, retries of short (faulted) flushes, flush requests
+    /// a leader left, and the centralized (log_shards = 1) commit's wait.
     uint64_t log_flush_interval_us = 50;
     /// Log record serialization: kCompactDiffV2 (default) writes varint
     /// headers and diff-encodes updates as (offset, changed-range)

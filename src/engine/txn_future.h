@@ -8,19 +8,33 @@
 // first failing Status. Completion callbacks and the executor's
 // TxnCompletionListener run on the worker thread that completed the graph,
 // strictly before Wait() returns.
+//
+// Completion protocol: one std::atomic<uint32_t> word per transaction
+// (TxnState::word) with four bits — callback-registered, completing,
+// done, waiter — replaces a per-transaction mutex and condition
+// variable. Each pair of parties meets in one read-modify-write on that
+// word: OnComplete's CAS of the callback bit against the completer's
+// fetch_or(completing) decides who runs the callback; Wait()'s
+// fetch_or(waiter) against the completer's fetch_or(done) decides whether
+// the completer must notify. So a callback runs exactly once, a sleeping
+// waiter is always woken, and the completer makes a futex call only when
+// a waiter is actually asleep. Wait() polls the word for kWaitPollWindow
+// (on multi-CPU hosts) before it sleeps in std::atomic::wait. Done(),
+// status() and payload() are lock-free acquire loads.
 #pragma once
 
 #include <any>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "engine/action_graph.h"
+#include "util/spin.h"
 #include "util/status.h"
 
 namespace atrapos::log {
@@ -30,6 +44,13 @@ struct CommitTicket;
 namespace atrapos::engine {
 
 namespace internal {
+
+/// How long Wait() polls the completion word before it sleeps. In-process
+/// commits on a cache-resident working set complete in tens of
+/// microseconds, so most waits end inside the window without a futex
+/// sleep/wake pair; a longer wait pays at most this much CPU before it
+/// sleeps. Chosen by a window sweep on tatp-commit (see CHANGES.md).
+inline constexpr std::chrono::microseconds kWaitPollWindow{50};
 
 /// Most partitions a durability-enabled executor supports (the touched-set
 /// bitmask below is fixed-size so TxnState stays allocation-free).
@@ -82,18 +103,35 @@ struct TxnState {
   Status pending_status;
 
   std::atomic<bool> completed{false};  ///< exactly-once completion guard
-  std::mutex mu;
-  std::condition_variable cv;
-  // Completion publishes in two steps so the callback runs strictly
-  // before Wait() returns: `completing` flips (with the final status)
-  // before the worker invokes the callback, `done` only after it
-  // returned. OnComplete racing completion sees `completing` and runs the
-  // callback itself.
-  bool completing = false;           // guarded by mu
-  bool done = false;                 // guarded by mu
-  Status status;                     // guarded by mu; valid once completing
-  Status first_error;                // guarded by mu
-  std::function<void(const Status&)> callback;  // guarded by mu
+
+  // ---- the completion word ----------------------------------------------
+  // Completion publishes through one atomic word so the in-process hot
+  // path never takes a lock or enters the kernel unless a client actually
+  // sleeps:
+  //   - OnComplete stores `callback`, then CASes kCallback in — unless it
+  //     finds kCompleting, in which case it runs the callback itself.
+  //   - The completer writes `status`, fetch_or(kCompleting) (which tells
+  //     it whether a callback was registered), runs that callback, then
+  //     fetch_or(kDone) and notifies only if kWaiter was set.
+  //   - Wait polls kDone briefly, then fetch_or(kWaiter) and sleeps in
+  //     std::atomic::wait.
+  // Registration/completion and waiter/done each meet in one RMW on this
+  // word, so a callback is never both run and dropped, a wake is never
+  // lost, and the callback returns strictly before Wait() does.
+  static constexpr uint32_t kCallback = 1u;    ///< callback registered
+  static constexpr uint32_t kCompleting = 2u;  ///< status final
+  static constexpr uint32_t kDone = 4u;        ///< callback (if any) returned
+  static constexpr uint32_t kWaiter = 8u;      ///< a Wait() may be asleep
+  std::atomic<uint32_t> word{0};
+  /// Final status; written once before kCompleting (release) is set.
+  Status status;
+  /// The first failing action's status: written only by the action that
+  /// won `failed` by exchange; the stage-completion acq_rel chain orders
+  /// the write before the stage's last finisher reads it.
+  Status first_error;
+  /// Written before kCallback is CASed in; read by the completer only
+  /// when its fetch_or(kCompleting) saw kCallback.
+  std::function<void(const Status&)> callback;
 };
 
 }  // namespace internal
@@ -109,53 +147,80 @@ class TxnFuture {
   bool valid() const { return state_ != nullptr; }
 
   bool Done() const {
-    if (!state_) return false;
-    std::lock_guard lk(state_->mu);
-    return state_->done;
+    return state_ && (state_->word.load(std::memory_order_acquire) &
+                      internal::TxnState::kDone) != 0;
   }
 
   /// Blocks until the transaction completed; returns its final Status.
+  /// Polls for kWaitPollWindow first when another CPU can run the
+  /// completing worker, then sleeps on the completion word.
   Status Wait() {
     if (!state_) return InvalidFuture();
-    std::unique_lock lk(state_->mu);
-    state_->cv.wait(lk, [this] { return state_->done; });
+    using S = internal::TxnState;
+    std::atomic<uint32_t>& word = state_->word;
+    uint32_t cur = word.load(std::memory_order_acquire);
+    if ((cur & S::kDone) == 0 && util::HostCpus() > 1) {
+      util::PollFor(internal::kWaitPollWindow, [&] {
+        cur = word.load(std::memory_order_acquire);
+        return (cur & S::kDone) != 0;
+      });
+    }
+    while ((cur & S::kDone) == 0) {
+      // Announce the sleeper in the same word the completer sets kDone
+      // in: whichever RMW comes second sees the other's bit.
+      cur = word.fetch_or(S::kWaiter, std::memory_order_acq_rel) | S::kWaiter;
+      if ((cur & S::kDone) != 0) break;
+      word.wait(cur, std::memory_order_acquire);
+      cur = word.load(std::memory_order_acquire);
+    }
     return state_->status;
   }
 
-  /// Final status; only meaningful once Done().
+  /// Final status; only meaningful once Done() (OK before completion).
   Status status() const {
     if (!state_) return InvalidFuture();
-    std::lock_guard lk(state_->mu);
+    if ((state_->word.load(std::memory_order_acquire) &
+         internal::TxnState::kCompleting) == 0)
+      return Status::OK();
     return state_->status;
   }
 
-  /// Payload emitted by action `id` (its Add() return value). Only
-  /// meaningful once Done(); nullptr if the action emitted nothing or a
-  /// different type.
+  /// Payload emitted by action `id` (its Add() return value). nullptr
+  /// until the transaction completed (a completion callback already sees
+  /// the payloads), if the action emitted nothing, or for a different
+  /// type.
   template <typename T>
   const T* payload(size_t id) const {
     if (!state_ || id >= state_->payloads.size()) return nullptr;
+    if ((state_->word.load(std::memory_order_acquire) &
+         internal::TxnState::kCompleting) == 0)
+      return nullptr;
     return std::any_cast<T>(&state_->payloads[id]);
   }
 
-  /// Registers a completion callback (at most one). Runs on the completing
-  /// worker thread strictly before Wait() returns, or immediately on the
-  /// caller when registration races with (or follows) completion.
+  /// Registers a completion callback (at most one per future). Runs on
+  /// the completing worker thread strictly before Wait() returns, or
+  /// immediately on the caller when registration races with (or follows)
+  /// completion.
   void OnComplete(std::function<void(const Status&)> cb) {
     if (!state_) {
       cb(InvalidFuture());
       return;
     }
-    Status s;
-    {
-      std::lock_guard lk(state_->mu);
-      if (!state_->completing) {
-        state_->callback = std::move(cb);
-        return;
-      }
-      s = state_->status;  // completion already consumed the callback slot
+    using S = internal::TxnState;
+    S* st = state_.get();
+    st->callback = std::move(cb);
+    uint32_t cur = st->word.load(std::memory_order_acquire);
+    while ((cur & S::kCompleting) == 0) {
+      if (st->word.compare_exchange_weak(cur, cur | S::kCallback,
+                                         std::memory_order_release,
+                                         std::memory_order_acquire))
+        return;  // the completer will run it
     }
-    cb(s);
+    // Completion already claimed the slot without seeing our bit: the
+    // callback is ours to run, with the final status it published.
+    std::function<void(const Status&)> mine = std::move(st->callback);
+    mine(st->status);
   }
 
  private:

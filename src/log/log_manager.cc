@@ -89,6 +89,8 @@ void LogManager::OnMarkersAppended(std::span<CommitTicket* const> tickets) {
       sink->OnCommitAcked(t->epoch, t->cookie);
     ReleaseCommitTicket(t);
   }
+  // Acked on append, durable on the idle flusher's next pass.
+  if (!tickets.empty()) NoteFlushOwed();
 }
 
 void LogManager::SettleDurable(const std::vector<CommitTicket*>& tickets) {
@@ -131,15 +133,19 @@ void LogManager::FlushAll() {
       reg != nullptr && (reg->metrics_enabled() || reg->trace_enabled());
   const uint64_t t0 = rec ? reg->NowNs() : 0;
   std::vector<CommitTicket*> fired;
+  bool short_write = false;
   {
     std::lock_guard lk(shards_mu_);
     // Active shards only: Seal() already performed a sealed shard's final
     // flush and settled its waiters, and its durable point can never
     // advance — scanning old generations would make the flusher's
     // per-window work grow with every repartition.
-    for (LogShard* s : active_) s->Flush(&fired);
+    for (LogShard* s : active_) short_write |= !s->Flush(&fired);
   }
   SettleDurable(fired);
+  // A short (faulted) write left part of a window buffered: the idle
+  // flusher owes the pass that finishes it.
+  if (short_write) NoteFlushOwed();
   if (rec) {
     const uint64_t dt = reg->NowNs() - t0;
     reg->Count(obs::CounterId::kLogFlushes);
@@ -174,27 +180,62 @@ void LogManager::LeadFlushes() {
     }
     flush_leader_.store(false);
     // Pass bound reached: a pending request waits for the next leader or
-    // the idle flusher's next tick rather than holding this worker.
-    if (passes == kMaxLeaderPasses) return;
+    // the idle flusher rather than holding this worker. Read after the
+    // release, so a request that lost the leader race to us is seen.
+    if (passes == kMaxLeaderPasses) {
+      if (flush_requested_.load()) NoteFlushOwed();
+      return;
+    }
   }
 }
 
+void LogManager::NoteFlushOwed() {
+  if (!opt_.start_flusher) return;
+  // Only the not-owed -> owed edge notifies; while the flusher ticks the
+  // word is usually already set and this is one load.
+  if (flush_owed_.load(std::memory_order_relaxed) || flush_owed_.exchange(true))
+    return;
+  // Under tick_mu_ so a flusher between its predicate check and its sleep
+  // cannot miss the notify. A ticking flusher waits on tick_cv_, so this
+  // finds no waiter and makes no futex call.
+  std::lock_guard lk(tick_mu_);
+  idle_cv_.notify_one();
+}
+
 void LogManager::FlusherLoop() {
-  // The idle tick: group commits are flushed by their committers
-  // (RequestFlush); this thread covers async-mode durability, windows a
-  // kLogShortFlush fault left unfinished, and requests a leader left at
-  // its pass bound. It takes the same leader flag, so at most one
-  // leader pass runs at a time.
+  // The idle flusher: group commits are flushed by their committers
+  // (RequestFlush); this thread serves only what is owed to it
+  // (NoteFlushOwed) — async-mode durability, windows a kLogShortFlush
+  // fault left unfinished, requests a leader left at its pass bound, and
+  // the centralized log's commits. Woken by the first owed flush, it
+  // ticks every flush_interval_us and runs a pass at each tick that finds
+  // one owed; after kQuietTicks ticks in a row with nothing owed it
+  // sleeps until the next. So a steady stream of owed work (async
+  // commits, or a centralized committer that appends again right after
+  // its flush) sees the same tick as an unconditional flusher, and an
+  // idle or committer-led log sees no wake-ups. It takes the same leader
+  // flag, so at most one leader pass runs at a time.
   const auto tick = std::chrono::microseconds(opt_.flush_interval_us);
+  auto stopping = [this] { return stop_.load(std::memory_order_acquire); };
+  std::unique_lock lk(tick_mu_);
   for (;;) {
-    flush_requested_.store(true);
-    LeadFlushes();
+    idle_cv_.wait(lk, [&] { return stopping() || flush_owed_.load(); });
     // Interruptible, so Stop() never waits out a long tick.
-    std::unique_lock lk(tick_mu_);
-    if (tick_cv_.wait_for(lk, tick, [this] {
-          return stop_.load(std::memory_order_acquire);
-        }))
-      return;
+    for (int quiet = 0; quiet < kQuietTicks;) {
+      if (tick_cv_.wait_for(lk, tick, stopping)) return;
+      if (!flush_owed_.load()) {
+        ++quiet;
+        continue;
+      }
+      quiet = 0;
+      lk.unlock();
+      // Cleared before the pass: whatever is noted owed from here on is
+      // either covered by this pass or sets the flag for the next tick.
+      flush_owed_.store(false);
+      flush_requested_.store(true);
+      LeadFlushes();
+      lk.lock();
+    }
   }
 }
 
@@ -205,6 +246,7 @@ void LogManager::Stop() {
     stop_.store(true, std::memory_order_release);
   }
   tick_cv_.notify_all();
+  idle_cv_.notify_all();
   if (flusher_.joinable()) flusher_.join();
   // Final group commit: everything appended so far becomes durable and
   // every settled waiter is acked, so no committer hangs at shutdown.

@@ -10,11 +10,18 @@
 // for everyone — advancing every shard's durable LSN and settling commit
 // tickets — while the others return at once, their request folded into
 // the leader's next pass. No committer waits for a timer and no worker
-// ever blocks on a flush. A background thread still ticks every
-// flush_interval_us, under the same leader flag, as the idle flusher:
-// it makes async-mode commits durable, finishes windows a
-// kLogShortFlush fault cut short, and picks up requests a leader left
-// when it reached its pass bound.
+// ever blocks on a flush.
+//
+// A background idle flusher, under the same leader flag, serves only the
+// flushes no committer leads. Each is noted owed (NoteFlushOwed): an
+// async-mode commit marker's append, a window a kLogShortFlush fault cut
+// short, a request a leader left at its pass bound, and a centralized
+// (one-shard) commit. The flusher sleeps on a condvar while nothing is
+// owed, so an idle or committer-led log costs no wake-ups. Once woken it
+// ticks every flush_interval_us, passing at each tick that finds a flush
+// owed, and goes back to sleep after kQuietTicks ticks with nothing owed;
+// a steady stream of owed work therefore sees the same tick as before.
+// Only the not-owed → owed edge notifies it.
 //
 // Commit acks are asynchronous: the flush leader (group mode) or the
 // appending worker (async mode) notifies the registered CommitSink.
@@ -52,7 +59,8 @@ namespace atrapos::log {
 class LogManager {
  public:
   struct Options {
-    /// Period of the background idle flusher. Group commits do not wait
+    /// Tick of the background idle flusher while a flush is owed to it
+    /// (NoteFlushOwed); it sleeps otherwise. Group commits do not wait
     /// for it: the committing worker requests the flush (RequestFlush).
     uint64_t flush_interval_us = 50;
     /// false = manual mode: no background flusher and RequestFlush() is a
@@ -140,6 +148,15 @@ class LogManager {
   /// after Stop().
   void RequestFlush();
 
+  /// Hands a flush pass no committer leads to the idle flusher: it will
+  /// flush every record appended before the call within about one
+  /// flush_interval_us. Wakes the flusher only when nothing was owed yet.
+  /// A no-op in manual mode. The executor calls it for each centralized
+  /// (one-shard) commit marker; the manager calls it itself for
+  /// append-acked markers, short writes and requests left at the leader's
+  /// pass bound.
+  void NoteFlushOwed();
+
   /// Stops the flusher after a final FlushAll and freezes every shard's
   /// durable point; a post-stop LogShard::WaitDurable returns the last
   /// durable LSN immediately. Idempotent; also run by the destructor.
@@ -177,7 +194,12 @@ class LogManager {
   /// worker returns to its own inbox; leftovers go to the idle flusher.
   static constexpr int kMaxLeaderPasses = 2;
 
-  /// The idle flusher: one leader attempt every flush_interval_us.
+  /// Ticks without an owed flush after which the idle flusher sleeps.
+  static constexpr int kQuietTicks = 2;
+
+  /// The idle flusher: sleeps until a flush is owed, then ticks every
+  /// flush_interval_us, leading a pass at each tick that finds one owed,
+  /// until kQuietTicks ticks in a row found none.
   void FlusherLoop();
   /// Runs FlushAll passes while a request is pending, as leader, at most
   /// kMaxLeaderPasses; returns at once when another thread leads.
@@ -209,10 +231,15 @@ class LogManager {
   std::atomic<bool> flush_requested_{false};
   std::atomic<bool> flush_leader_{false};
 
+  /// A pass is owed to the idle flusher. Set by NoteFlushOwed, cleared
+  /// by the flusher just before each of its passes (seq_cst both).
+  std::atomic<bool> flush_owed_{false};
+
   std::atomic<bool> stop_{false};
   std::atomic<bool> stopped_{false};
-  std::mutex tick_mu_;  ///< pairs with tick_cv_ to cut the tick short
-  std::condition_variable tick_cv_;
+  std::mutex tick_mu_;  ///< pairs with both flusher condvars
+  std::condition_variable idle_cv_;  ///< flusher sleeps here while not owed
+  std::condition_variable tick_cv_;  ///< the tick wait; cut short by Stop()
   std::thread flusher_;
 };
 

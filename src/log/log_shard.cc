@@ -216,14 +216,15 @@ Lsn LogShard::AppendOne(const PendingRecord& rec, const uint8_t* image,
   return AppendBatch(&r, 1, image, append_fired);
 }
 
-void LogShard::Flush(std::vector<CommitTicket*>* durable_fired) {
-  FlushInternal(durable_fired, /*allow_fault=*/true);
+bool LogShard::Flush(std::vector<CommitTicket*>* durable_fired) {
+  return FlushInternal(durable_fired, /*allow_fault=*/true);
 }
 
-void LogShard::FlushInternal(std::vector<CommitTicket*>* durable_fired,
+bool LogShard::FlushInternal(std::vector<CommitTicket*>* durable_fired,
                              bool allow_fault) {
   Lsn tail;
   bool advanced = false;
+  bool whole = true;
   {
     std::lock_guard lk(mu_);
     tail = next_lsn_ - 1;
@@ -233,6 +234,7 @@ void LogShard::FlushInternal(std::vector<CommitTicket*>* durable_fired,
       // Short write: only part of the window reached the disk. The rest
       // stays buffered for the next flush pass.
       tail = cur + (tail - cur + 1) / 2;
+      whole = false;
     }
     if (tail > durable_lsn_.load(std::memory_order_relaxed)) {
       // The "flush": with a memory-mapped log disk this is a memcpy plus
@@ -252,6 +254,7 @@ void LogShard::FlushInternal(std::vector<CommitTicket*>* durable_fired,
     }
   }
   if (advanced) flushed_cv_.notify_all();
+  return whole;
 }
 
 Lsn LogShard::WaitDurable(Lsn lsn) {

@@ -66,8 +66,9 @@ class LogShard {
   /// to settle outside the lock. Under an armed kLogShortFlush fault the
   /// durable LSN advances only part-way (a short write); the next flush
   /// pass completes the window, so group commit degrades to higher
-  /// latency, never to a lost ack.
-  void Flush(std::vector<CommitTicket*>* durable_fired);
+  /// latency, never to a lost ack. Returns false when the write was short
+  /// (a later pass is owed).
+  bool Flush(std::vector<CommitTicket*>* durable_fired);
 
   /// Blocks until `lsn` is durable and returns the durable LSN then —
   /// or, once the shard is stopped, returns the frozen durable LSN
@@ -130,7 +131,7 @@ class LogShard {
   uint8_t* ReserveLocked(size_t need);
   /// Flush body; `allow_fault` gates the kLogShortFlush site (Seal's final
   /// flush must complete, or sealed shards would strand commit tickets).
-  void FlushInternal(std::vector<CommitTicket*>* durable_fired,
+  bool FlushInternal(std::vector<CommitTicket*>* durable_fired,
                      bool allow_fault);
 
   const int id_;

@@ -32,6 +32,9 @@ Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
 }
 
+/// Most bytes one read() call takes off a connection.
+constexpr size_t kReadChunk = 64 * 1024;
+
 uint32_t ReadLE32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
@@ -95,6 +98,10 @@ struct Server::IoThread {
   };
   std::vector<engine::ActionGraph> wave_graphs;
   std::vector<WaveItem> wave_items;
+  /// Landing buffer of every read() on this thread's connections:
+  /// ReadConn appends only the bytes a read returned to the connection's
+  /// `in`, instead of growing `in` by a value-initialized chunk per call.
+  std::vector<uint8_t> read_buf = std::vector<uint8_t>(kReadChunk);
 };
 
 template <typename Encode>
@@ -363,22 +370,19 @@ void Server::AcceptReady(IoThread* t) {
 }
 
 bool Server::ReadConn(IoThread* t, const std::shared_ptr<Conn>& c) {
-  constexpr size_t kReadChunk = 64 * 1024;
   // Peer closed: still parse the complete frames that arrived before the
   // close below — a protocol error from a hit-and-run client must be
   // counted (and a valid last request processed) whether or not the close
   // raced our read — then drop the connection.
   bool eof = false;
   for (;;) {
-    size_t old = c->in.size();
-    c->in.resize(old + kReadChunk);
-    ssize_t n = net::ReadSome(c->fd, c->in.data() + old, kReadChunk);
+    uint8_t* buf = t->read_buf.data();
+    ssize_t n = net::ReadSome(c->fd, buf, t->read_buf.size());
     if (n > 0) {
-      c->in.resize(old + static_cast<size_t>(n));
+      c->in.insert(c->in.end(), buf, buf + n);
       obs_->Count(obs::CounterId::kNetBytesIn, static_cast<uint64_t>(n));
       continue;
     }
-    c->in.resize(old);
     if (n == 0) {  // possibly mid-frame: the partial tail stays unparsed
       eof = true;
       break;

@@ -621,6 +621,157 @@ TEST(ActionGraphTest, FourPartitionsOnOneCoreNeverMissAWake) {
   }
 }
 
+// The completion word under races: 10k transactions from 2 submitters
+// over 2 workers, each future also waited on by a third thread.
+// Callbacks are registered before completion (and handed to the waiter
+// only afterwards), racing it (handed over first), or after it (the
+// submitter waited itself, so the callback must run inline on the
+// submitter). Every 16th transaction sleeps past the Wait poll window,
+// so waiters really sleep on the word and must be woken. Some
+// transactions fail in their second action. Properties: each callback
+// fires exactly once with the final status; a callback registered
+// before the handoff has its side effect visible when Wait() returns;
+// after Done(), status() and payload() agree with Wait().
+TEST(ActionGraphTest, CompletionWordRaceFiresEachCallbackOnce) {
+  Database db({});
+  constexpr uint64_t kRows = 200;
+  (void)db.AddTable(MicroTable(kRows, {0, kRows / 2}));
+  auto topo = hw::Topology::SingleSocket(2);
+  PartitionedExecutor exec(&db, topo, OneTableScheme({0, kRows / 2}, {0, 1}));
+
+  constexpr int kSubmitters = 2;
+  constexpr int kPerSubmitter = 5000;
+  constexpr int kTxns = kSubmitters * kPerSubmitter;
+  enum Mode { kBefore = 0, kDuring = 1, kAfter = 2 };
+  auto mode_of = [](int i) { return static_cast<Mode>(i % 3); };
+  auto fails = [](int i) { return i % 7 == 3; };
+  // Written only by the callback; read after Wait() returns.
+  std::vector<std::atomic<int>> fired(kTxns);
+  std::vector<int> side_effect(kTxns, 0);
+  std::atomic<int> inline_after{0};
+
+  struct Handoff {
+    int i;
+    TxnFuture f;
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Handoff> queue;
+  int submitters_done = 0;
+  auto hand_over = [&](int i, TxnFuture f) {
+    std::lock_guard lk(mu);
+    queue.push_back(Handoff{i, std::move(f)});
+    cv.notify_one();
+  };
+
+  std::atomic<int> waited{0};
+  std::thread waiter([&] {
+    for (;;) {
+      Handoff h;
+      {
+        std::unique_lock lk(mu);
+        cv.wait(lk, [&] {
+          return !queue.empty() || submitters_done == kSubmitters;
+        });
+        if (queue.empty()) return;
+        h = std::move(queue.front());
+        queue.pop_front();
+      }
+      Status s = h.f.Wait();
+      EXPECT_EQ(s.ok(), !fails(h.i)) << "txn " << h.i;
+      if (mode_of(h.i) != kDuring) {
+        // Registered before the handoff: the callback returned before
+        // Wait() did, on whichever thread ran it.
+        EXPECT_EQ(fired[h.i].load(std::memory_order_relaxed), 1)
+            << "txn " << h.i;
+        EXPECT_EQ(side_effect[h.i], h.i + 1) << "txn " << h.i;
+      }
+      EXPECT_TRUE(h.f.Done());
+      EXPECT_EQ(h.f.status().code(), s.code());
+      const int64_t* out = h.f.payload<int64_t>(0);
+      ASSERT_NE(out, nullptr) << "txn " << h.i;
+      EXPECT_EQ(*out, static_cast<int64_t>(h.i));
+      if (!fails(h.i)) {
+        const int64_t* second = h.f.payload<int64_t>(1);
+        ASSERT_NE(second, nullptr) << "txn " << h.i;
+        EXPECT_EQ(*second, static_cast<int64_t>(h.i) * 2);
+      }
+      waited.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      const auto self = std::this_thread::get_id();
+      for (int j = 0; j < kPerSubmitter; ++j) {
+        const int i = t * kPerSubmitter + j;
+        ActionGraph g;
+        // Two actions on the two workers' partitions.
+        g.Add(0, static_cast<uint64_t>(i) % (kRows / 2),
+              [i](storage::Table*, ActionCtx& ctx) {
+                if (i % 16 == 0)
+                  std::this_thread::sleep_for(std::chrono::microseconds(200));
+                ctx.Emit(static_cast<int64_t>(i));
+                return Status::OK();
+              });
+        g.Add(0, kRows / 2 + static_cast<uint64_t>(i) % (kRows / 2),
+              [i, &fails](storage::Table*, ActionCtx& ctx) {
+                if (fails(i)) return Status::Internal("injected");
+                ctx.Emit(static_cast<int64_t>(i) * 2);
+                return Status::OK();
+              });
+        auto r = exec.Submit(std::move(g));
+        if (!r.ok()) {
+          ADD_FAILURE() << "submit " << i << ": " << r.status().ToString();
+          continue;
+        }
+        TxnFuture f = r.take();
+        auto cb = [&, i](const Status& s) {
+          EXPECT_EQ(s.ok(), !fails(i)) << "txn " << i;
+          side_effect[i] = i + 1;
+          fired[i].fetch_add(1, std::memory_order_relaxed);
+        };
+        switch (mode_of(i)) {
+          case kBefore:
+            f.OnComplete(cb);
+            hand_over(i, f);
+            break;
+          case kDuring:
+            hand_over(i, f);
+            f.OnComplete(cb);
+            break;
+          case kAfter: {
+            (void)f.Wait();
+            bool ran_here = false;
+            f.OnComplete([&, cb, self](const Status& s) {
+              EXPECT_EQ(std::this_thread::get_id(), self);
+              ran_here = true;
+              cb(s);
+            });
+            EXPECT_TRUE(ran_here) << "txn " << i;
+            if (ran_here) inline_after.fetch_add(1, std::memory_order_relaxed);
+            hand_over(i, f);
+            break;
+          }
+        }
+      }
+      std::lock_guard lk(mu);
+      ++submitters_done;
+      cv.notify_one();
+    });
+  }
+  for (auto& t : submitters) t.join();
+  waiter.join();
+  exec.Drain();
+  EXPECT_EQ(waited.load(), kTxns);
+  EXPECT_EQ(inline_after.load(), (kTxns + 1) / 3);
+  for (int i = 0; i < kTxns; ++i) {
+    EXPECT_EQ(fired[i].load(), 1) << "txn " << i;
+    EXPECT_EQ(side_effect[i], i + 1) << "txn " << i;
+  }
+}
+
 TEST(ActionGraphTest, FedPartitionCannotStarveSameCoreSibling) {
   Database db({});
   constexpr uint64_t kRows = 200;

@@ -239,6 +239,21 @@ TEST(PartitionedExecutorTest, BatchWaveWakesEachParkedCoreOnce) {
   EXPECT_NE(prom.find("atrapos_worker_wakes "), std::string::npos);
 }
 
+// The poll-before-park gate: a worker polls only when it owns a CPU and
+// the host keeps a CPU beyond the workers for the threads feeding them.
+TEST(PartitionedExecutorTest, PollBeforeParkNeedsAPinnedWorkerAndASpareCpu) {
+  EXPECT_TRUE(PollBeforePark(/*bound=*/true, /*host_cpus=*/4, /*workers=*/2));
+  EXPECT_TRUE(PollBeforePark(true, 4, 3));
+  // Unpinned (affinity failed, or the core id exceeds the host's CPUs).
+  EXPECT_FALSE(PollBeforePark(false, 64, 2));
+  // Too few CPUs: SingleSocket(4) on a 4-CPU host, or fewer CPUs still.
+  EXPECT_FALSE(PollBeforePark(true, 4, 4));
+  EXPECT_FALSE(PollBeforePark(true, 1, 4));
+  EXPECT_FALSE(PollBeforePark(true, 1, 1));
+  // hardware_concurrency() may report 0 (unknown): never poll then.
+  EXPECT_FALSE(PollBeforePark(true, 0, 1));
+}
+
 // ---- Island placement (src/mem/) -----------------------------------------
 
 TEST(IslandPlacementTest, PartitionStateLandsOnOwnerIslandArena) {

@@ -797,5 +797,83 @@ TEST(GroupCommitTest, ShortFlushesConvergeWithoutManualMode) {
   EXPECT_GT(inj.fires(fault::SiteId::kLogShortFlush), 0u);
 }
 
+// ---- The idle flusher sleeps until a flush is owed ------------------------
+
+// Committer-led group commit owes the idle flusher nothing: an idle
+// executor — fresh, and again after a burst of commits — must not tick.
+// With a 30 us tick, a flusher that still ticked unconditionally would
+// record thousands of passes in 100 ms.
+TEST(IdleFlusherTest, IdleGroupExecutorDoesNotTick) {
+  hw::Topology topo = hw::Topology::SingleSocket(2);
+  Database db({.topo = topo});
+  db.AddTable(MicroTable(64, Bounds(64, 2)));
+  PartitionedExecutor exec(&db, topo, OneTableScheme(64, 2), GroupOpts());
+  auto flushes = [&] {
+    return db.StatsSnapshot().counter(obs::CounterId::kLogFlushes);
+  };
+  const uint64_t fresh = flushes();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LE(flushes() - fresh, 2u) << "fresh executor";
+  for (uint64_t k = 0; k < 32; ++k)
+    ASSERT_TRUE(exec.SubmitAndWait(AddDelta(0, k, 1)).ok());
+  exec.Drain();
+  const uint64_t after_burst = flushes();
+  EXPECT_GE(after_burst, 1u);  // the committers led their flushes
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LE(flushes() - after_burst, 2u) << "after a burst of commits";
+  EXPECT_EQ(exec.log_manager()->durable_epoch(), 32u);
+}
+
+// Async commits are acked on append and never request a flush; their
+// markers are owed to the idle flusher, which makes them durable on its
+// own.
+TEST(IdleFlusherTest, AsyncMarkerBecomesDurableWithoutARequest) {
+  hw::Topology topo = hw::Topology::SingleSocket(2);
+  Database db({.topo = topo});
+  db.AddTable(MicroTable(32, Bounds(32, 2)));
+  PartitionedExecutor::Options o;
+  o.durability = DurabilityMode::kAsync;
+  o.log_flush_interval_us = 30;
+  PartitionedExecutor exec(&db, topo, OneTableScheme(32, 2), o);
+  log::LogManager* mgr = exec.log_manager();
+  for (uint64_t round = 1; round <= 3; ++round) {
+    // Idle in between, so each round's marker wakes a sleeping flusher.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(exec.SubmitAndWait(AddDelta(0, round, 1)).ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (mgr->durable_epoch() < round &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    EXPECT_EQ(mgr->durable_epoch(), round);
+  }
+}
+
+// The manager-level contract: an append-acked ticket notes the flush owed.
+TEST(IdleFlusherTest, AppendAckedTicketIsFlushedByTheIdleFlusher) {
+  log::LogManager::Options o;
+  o.flush_interval_us = 30;
+  log::LogManager mgr(o);
+  log::LogShard* shard = mgr.shard(mgr.AddShard(nullptr, nullptr));
+  log::CommitTicket* t = mgr.BeginCommit(1, nullptr, /*fire_on_append=*/true);
+  log::PendingRecord r;
+  r.txn = 1;
+  r.type = LogType::kCommit;
+  r.epoch = t->epoch;
+  r.marker_expected = 1;
+  r.ticket = t;
+  std::vector<log::CommitTicket*> fired;
+  Lsn lsn = shard->AppendOne(r, nullptr, &fired);
+  ASSERT_EQ(fired.size(), 1u);
+  mgr.OnMarkersAppended(fired);
+  EXPECT_EQ(shard->WaitDurable(lsn), lsn);  // hangs if nothing flushes
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (mgr.durable_epoch() < 1 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  EXPECT_EQ(mgr.durable_epoch(), 1u);
+}
+
 }  // namespace
 }  // namespace atrapos
