@@ -20,6 +20,7 @@ using namespace atrapos::simengine;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   double duration = flags.GetDouble("duration", 0.003);
+  flags.RejectUnknown();
   PrintHeader("ablation_model",
               "Ablations: convoy term, state split, monitor resolution");
 

@@ -16,6 +16,7 @@ using namespace atrapos::simengine;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   double duration = flags.GetDouble("duration", 0.004);
+  flags.RejectUnknown();
   PrintHeader("fig01_ipc", "Fig. 1 — Instructions retired per cycle");
 
   TablePrinter tp({"sockets", "extreme-SN", "centralized", "PLP"});

@@ -14,6 +14,7 @@ using namespace atrapos::simengine;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   double duration = flags.GetDouble("duration", 0.004);
+  flags.RejectUnknown();
   PrintHeader("fig02_scaling",
               "Fig. 2 — Throughput of shared-nothing, centralized, PLP");
 

@@ -15,6 +15,7 @@ using namespace atrapos::simengine;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   double duration = flags.GetDouble("duration", 0.01);
+  flags.RejectUnknown();
   PrintHeader("fig03_multisite",
               "Fig. 3 — Throughput vs % multi-site transactions");
 

@@ -14,6 +14,7 @@ using namespace atrapos::simengine;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   double duration = flags.GetDouble("duration", 0.01);
+  flags.RejectUnknown();
   PrintHeader("fig04_breakdown",
               "Fig. 4 — Time breakdown, coarse shared-nothing (us/txn)");
 

@@ -13,6 +13,7 @@ using namespace atrapos::simengine;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   double duration = flags.GetDouble("duration", 0.004);
+  flags.RejectUnknown();
   PrintHeader("fig05_scaling_atrapos",
               "Fig. 5 — Throughput of a perfectly partitionable workload");
 

@@ -47,6 +47,7 @@ core::Scheme BalancedScheme(const hw::Topology& topo, uint64_t rows,
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   double duration = flags.GetDouble("duration", 0.006);
+  flags.RejectUnknown();
   PrintHeader("fig06_partition_strategies",
               "Fig. 6 — Simple transaction, partitioning/placement variants");
 

@@ -10,6 +10,7 @@ using namespace atrapos::bench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  flags.RejectUnknown();
   PrintHeader("fig07_flowgraph", "Fig. 7 — TPC-C NewOrder flow graph");
 
   auto spec = workload::TpccSpec(80);

@@ -73,6 +73,7 @@ double RunPair(const hw::Topology& topo, const core::WorkloadSpec& spec,
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   double duration = flags.GetDouble("duration", 0.004);
+  flags.RejectUnknown();
   PrintHeader("fig08_standard_benchmarks",
               "Fig. 8 — ATraPos/PLP normalized throughput, TATP & TPC-C");
 

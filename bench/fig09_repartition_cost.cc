@@ -95,6 +95,7 @@ double TimeRearranges(int n) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   int repeats = static_cast<int>(flags.GetInt("repeats", 5));
+  flags.RejectUnknown();
   PrintHeader("fig09_repartition_cost",
               "Fig. 9 — Repartitioning cost on the real storage manager");
 

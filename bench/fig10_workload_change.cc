@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   TimelineSetup tl;
   tl.scale = flags.GetDouble("scale", 0.004);
+  flags.RejectUnknown();
   tl.duration_paper_s = 90;
   PrintHeader("fig10_workload_change",
               "Fig. 10 — Adapting to workload changes (TATP, 30 s phases)");

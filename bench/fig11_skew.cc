@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   TimelineSetup tl;
   tl.scale = flags.GetDouble("scale", 0.004);
+  flags.RejectUnknown();
   tl.duration_paper_s = 50;
   PrintHeader("fig11_skew", "Fig. 11 — Adapting to sudden workload skew");
 

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   TimelineSetup tl;
   tl.scale = flags.GetDouble("scale", 0.004);
+  flags.RejectUnknown();
   tl.duration_paper_s = 50;
   PrintHeader("fig12_hw_failure", "Fig. 12 — Adapting to hardware failures");
 

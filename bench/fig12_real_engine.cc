@@ -251,6 +251,7 @@ int main(int argc, char** argv) {
   exec_opt.durability = engine::DurabilityMode::kGroup;
   exec_opt.log_flush_interval_us =
       static_cast<uint64_t>(flags.GetInt("log_flush_interval_us", 50));
+  flags.RejectUnknown();
 
   hw::Topology topo = hw::Topology::Cube(1, cores_per_socket);
   PrintHeader("fig12_real_engine",

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   TimelineSetup tl;
   tl.scale = flags.GetDouble("scale", 0.004);
+  flags.RejectUnknown();
   tl.duration_paper_s = 180;
   PrintHeader("fig13_change_frequency",
               "Fig. 13 — Adapting to frequent changes (A=GetNewDest, "

@@ -16,6 +16,7 @@ using namespace atrapos::simengine;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   double duration = flags.GetDouble("duration", 0.05);
+  flags.RejectUnknown();
   PrintHeader("table1_memory_policy",
               "Table I — Throughput under memory-allocation policies");
 

@@ -61,6 +61,7 @@ int main(int argc, char** argv) {
   uint32_t emulate_ns =
       static_cast<uint32_t>(flags.GetInt("emulate_ns", 5000));
   std::string json_path = flags.GetString("json", "");
+  flags.RejectUnknown();
 
   hw::Topology topo = [&] {
     switch (sockets) {

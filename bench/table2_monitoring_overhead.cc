@@ -212,6 +212,7 @@ int main(int argc, char** argv) {
               "Table II — ATraPos monitoring overhead (TATP)");
 
   if (!real) {
+    flags.RejectUnknown();
     hw::Topology topo = TopoFor(8);
     TablePrinter tp({"Workload", "No monitoring (TPS)", "Monitoring (TPS)",
                      "Overhead (%)"});
@@ -258,6 +259,7 @@ int main(int argc, char** argv) {
   std::string trace_out = flags.GetString("trace_out", "");
   std::string series_out = flags.GetString("series_out", "");
   std::string json_path = flags.GetString("json", "");
+  flags.RejectUnknown();
 
   if (max_overhead_pct > 0 && reps < kMinGateRounds) {
     std::fprintf(stderr,

@@ -18,12 +18,8 @@
 // --durability={off,async,group} switches the src/log/ subsystem on:
 // async logs records and commit markers but acks at marker append; group
 // defers each TxnFuture until the markers are durable on every shard the
-// transaction touched (asynchronous acks — workers never block).
-// --log_shards=0 (default) places one log shard per partition on its
-// owner island; --log_shards=1 runs the retired centralized WAL protocol
-// (per-record appends under one mutex, commit blocking in the flush
-// window under group) — the Fig. 4 logging-contention baseline the
-// per-partition design is measured against.
+// transaction touched (asynchronous acks — workers never block). Each
+// partition owns one log shard on its owner island.
 //
 // --json=<path> writes a BENCH_submission.json perf trajectory (TPS per
 // depth/batch point plus the measured remote-traffic ratio) so runs are
@@ -80,7 +76,6 @@ struct RunResult {
   uint64_t commit_p50_us = 0;
   uint64_t commit_p95_us = 0;
   uint64_t commit_p99_us = 0;
-  uint64_t interleave_suspensions = 0;  ///< warm-pipeline suspend count
 
   double log_bytes_per_commit() const {
     return committed > 0
@@ -186,8 +181,6 @@ RunResult RunOnce(const hw::Topology& topo, uint64_t subscribers,
   out.commit_p50_us = lat.Quantile(0.5);
   out.commit_p95_us = lat.Quantile(0.95);
   out.commit_p99_us = lat.Quantile(0.99);
-  out.interleave_suspensions =
-      snap.counter(obs::CounterId::kInterleaveSuspensions);
   if (!trace_path.empty() && db.DumpTrace(trace_path))
     std::printf("wrote trace %s (%llu events recorded, %llu dropped)\n",
                 trace_path.c_str(),
@@ -345,7 +338,6 @@ int main(int argc, char** argv) {
   double min_tps = flags.GetDouble("min_tps", 0);
   std::string json_path = flags.GetString("json", "");
   std::string durability_name = flags.GetString("durability", "off");
-  int log_shards = static_cast<int>(flags.GetInt("log_shards", 0));
   uint64_t flush_us =
       static_cast<uint64_t>(flags.GetInt("log_flush_interval_us", 50));
   std::string wire_name = flags.GetString("log_encoding", "diff");
@@ -355,16 +347,11 @@ int main(int argc, char** argv) {
   std::string trace_path = flags.GetString("trace", "");
   // --placement={local,central,remote,interleaved,first_touch}: arena
   // placement policy for every table (remote = every partition's data on
-  // a non-home island — the worst-case Island traffic the interleaved
-  // worker loop is built to hide). --islands>1 picks a Cube topology so
-  // "remote" means something.
+  // a non-home island — the worst-case Island traffic). --islands>1 picks
+  // a Cube topology so "remote" means something.
   std::string placement_name = flags.GetString("placement", "local");
   int islands = static_cast<int>(flags.GetInt("islands", 1));
-  int interleave = static_cast<int>(flags.GetInt("interleave", 1));
-  bool interleave_sweep = flags.GetBool("interleave_sweep", false);
-  int interleave_reps = static_cast<int>(flags.GetInt("interleave_reps", 3));
-  std::string interleave_json = flags.GetString("interleave_json", "");
-  double min_interleave_ratio = flags.GetDouble("min_interleave_ratio", 0);
+  flags.RejectUnknown();
 
   engine::PartitionedExecutor::Options exec_opt;
   if (!ParseDurability(durability_name, &exec_opt.durability)) {
@@ -377,16 +364,7 @@ int main(int argc, char** argv) {
                  wire_name.c_str());
     return 1;
   }
-  if (log_shards != 0 && log_shards != 1) {
-    std::fprintf(stderr,
-                 "--log_shards=%d unsupported (0 = per-partition, "
-                 "1 = centralized)\n",
-                 log_shards);
-    return 1;
-  }
-  exec_opt.log_shards = log_shards;
   exec_opt.log_flush_interval_us = flush_us;
-  exec_opt.interleave_depth = interleave;
 
   mem::IslandAllocator::Options mem_opt;
   auto policy = mem::ParsePlacementPolicy(placement_name);
@@ -418,8 +396,7 @@ int main(int argc, char** argv) {
               hot_pct, duration, ToString(exec_opt.durability),
               exec_opt.durability == engine::DurabilityMode::kOff
                   ? "no logging"
-                  : (log_shards == 1 ? "1 centralized shard"
-                                     : "per-partition shards"));
+                  : "per-partition shards");
 
   // (depth, batch) sweep: batch 1 is the per-transaction Submit path,
   // batch > 1 submits whole waves through SubmitBatch.
@@ -510,103 +487,6 @@ int main(int argc, char** argv) {
       "adaptive manager acting on completion-path class counts under "
       "skew.\n");
 
-  // ---- interleave-depth sweep (depth 32, batch 32) -------------------------
-  // Paired rounds: each rep runs every K back-to-back in the same order,
-  // so machine drift hits all depths equally; per-K TPS is the median
-  // across reps. Run it under --placement=remote --islands=2 to see the
-  // stall-hiding effect the worker pipeline exists for.
-  bool below_interleave_ratio = false;
-  if (interleave_sweep) {
-    std::vector<int> ks = quick ? std::vector<int>{1, 4, 16}
-                                : std::vector<int>{1, 2, 4, 8, 16, 32};
-    std::vector<std::vector<double>> tps(ks.size());
-    std::vector<uint64_t> suspensions(ks.size(), 0);
-    std::vector<uint64_t> txns(ks.size(), 0);
-    for (int rep = 0; rep < std::max(1, interleave_reps); ++rep) {
-      for (size_t i = 0; i < ks.size(); ++i) {
-        auto o = exec_opt;
-        o.interleave_depth = ks[i];
-        RunResult r = RunOnce(topo, subscribers, clients, 32, 32, duration,
-                              hot_pct, seed + static_cast<uint64_t>(rep),
-                              o, mem_opt);
-        tps[i].push_back(r.tps);
-        suspensions[i] += r.interleave_suspensions;
-        txns[i] += r.completed;
-      }
-    }
-    auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      return v[v.size() / 2];
-    };
-    TablePrinter itp({"K", "TPS(med)", "TPS(min)", "TPS(max)",
-                      "Suspensions/txn", "vs K=1"});
-    JsonValue irows = JsonValue::Array();
-    double base = median(tps[0]);
-    double best = 0, best_k = 1;
-    for (size_t i = 0; i < ks.size(); ++i) {
-      double med = median(tps[i]);
-      double lo = *std::min_element(tps[i].begin(), tps[i].end());
-      double hi = *std::max_element(tps[i].begin(), tps[i].end());
-      double per_txn = txns[i] > 0 ? static_cast<double>(suspensions[i]) /
-                                         static_cast<double>(txns[i])
-                                   : 0.0;
-      if (ks[i] > 1 && med > best) {
-        best = med;
-        best_k = ks[i];
-      }
-      itp.AddRow({TablePrinter::Int(ks[i]),
-                  TablePrinter::Int(static_cast<long long>(med)),
-                  TablePrinter::Int(static_cast<long long>(lo)),
-                  TablePrinter::Int(static_cast<long long>(hi)),
-                  TablePrinter::Num(per_txn, 1),
-                  TablePrinter::Num(base > 0 ? med / base : 0.0, 3)});
-      irows.Push(JsonValue::Object()
-                     .Add("interleave_depth", static_cast<long long>(ks[i]))
-                     .Add("tps_median", med)
-                     .Add("tps_min", lo)
-                     .Add("tps_max", hi)
-                     .Add("suspensions_per_txn", per_txn)
-                     .Add("tps_vs_k1", base > 0 ? med / base : 0.0));
-    }
-    std::printf("\nInterleave sweep (depth 32, batch 32, placement=%s, "
-                "%d island(s), %d rep(s)):\n",
-                mem::ToString(mem_opt.policy), islands,
-                std::max(1, interleave_reps));
-    itp.Print();
-    std::printf("best K>1: K=%d at %.0f TPS (%.3fx of K=1)\n",
-                static_cast<int>(best_k), best,
-                base > 0 ? best / base : 0.0);
-    if (min_interleave_ratio > 0 && best < min_interleave_ratio * base)
-      below_interleave_ratio = true;
-    if (!interleave_json.empty()) {
-      JsonValue idoc = JsonValue::Object();
-      idoc.Add("bench", std::string("tatp_real_engine"))
-          .Add("schema", std::string("BENCH_interleave"))
-          .Add("config",
-               JsonValue::Object()
-                   .Add("subscribers", static_cast<long long>(subscribers))
-                   .Add("cores", static_cast<long long>(topo.num_cores()))
-                   .Add("islands", static_cast<long long>(islands))
-                   .Add("clients", static_cast<long long>(clients))
-                   .Add("placement", std::string(mem::ToString(mem_opt.policy)))
-                   .Add("hot_pct", hot_pct)
-                   .Add("duration_s", duration)
-                   .Add("reps",
-                        static_cast<long long>(std::max(1, interleave_reps)))
-                   .Add("depth", 32LL)
-                   .Add("batch", 32LL)
-                   .Add("durability",
-                        std::string(ToString(exec_opt.durability))))
-          .Add("rows", irows)
-          .Add("base_tps", base)
-          .Add("best_k", static_cast<long long>(best_k))
-          .Add("best_tps", best)
-          .Add("best_vs_k1", base > 0 ? best / base : 0.0);
-      if (!idoc.WriteTo(interleave_json)) return 1;
-      std::printf("wrote %s\n", interleave_json.c_str());
-    }
-  }
-
   if (!json_path.empty()) {
     JsonValue doc = JsonValue::Object();
     doc.Add("bench", std::string("tatp_real_engine"))
@@ -621,8 +501,6 @@ int main(int argc, char** argv) {
                            .Add("seed", static_cast<long long>(seed))
                            .Add("durability",
                                 std::string(ToString(exec_opt.durability)))
-                           .Add("log_shards",
-                                static_cast<long long>(log_shards))
                            .Add("log_encoding",
                                 std::string(ToString(exec_opt.log_wire))))
         .Add("rows", rows);
@@ -642,13 +520,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: at least one point below --min_tps=%g\n",
                  min_tps);
     return 2;
-  }
-  if (below_interleave_ratio) {
-    std::fprintf(stderr,
-                 "FAIL: best interleaved TPS below --min_interleave_ratio=%g "
-                 "of the K=1 baseline\n",
-                 min_interleave_ratio);
-    return 4;
   }
   return recovery_ok ? 0 : 3;
 }

@@ -244,6 +244,7 @@ int main(int argc, char** argv) {
   double min_ratio = flags.GetDouble("min_ratio", 0);
   double open_rate = flags.GetDouble("open_rate", 0);
   std::string json_path = flags.GetString("json", "");
+  flags.RejectUnknown();
 
   hw::Topology topo = hw::Topology::SingleSocket(cores);
   PrintHeader("wire_tatp",

@@ -13,7 +13,6 @@
 #include "fault/injector.h"
 #include "hw/binding.h"
 #include "log/shard_writer.h"
-#include "storage/interleave.h"
 #include "util/spin.h"
 
 namespace atrapos::engine {
@@ -207,11 +206,6 @@ PartitionedExecutor::PartitionedExecutor(Database* db,
     log_->SetCommitSink(ack_sink_.get());
   }
   StartWorkers();
-  // Config gauge: the interleave depth every worker drains with (1 =
-  // serial), so a snapshot names the execution mode next to its effects
-  // (kInterleaveSuspensions, the drain histograms).
-  obs_->SetGauge(obs::GaugeId::kInterleaveDepth,
-                 opt_.interleave_depth <= 1 ? 1 : opt_.interleave_depth);
   // The kill sentinel runs evacuations off the worker threads (a worker
   // cannot join itself); idle when no worker-kill fault ever fires.
   sentinel_ = std::thread([this] { SentinelLoop(); });
@@ -320,7 +314,6 @@ void PartitionedExecutor::StartWorkers() {
   parts_.clear();
   flat_parts_.clear();
   workers_.clear();
-  const bool centralized = log_ != nullptr && opt_.log_shards == 1;
   mem::IslandAllocator& alloc = db_->memory();
   if (log_ != nullptr) {
     size_t total = 0;
@@ -332,14 +325,7 @@ void PartitionedExecutor::StartWorkers() {
                    total, internal::kMaxLogPartitions);
       std::abort();
     }
-    if (centralized) {
-      if (central_shard_ == nullptr) {
-        // The centralized shard survives repartitioning — it is the
-        // single scalar-LSN log the paper measures, not partition state.
-        log_->EnsureCentralShard(alloc.arena(0));
-        central_shard_ = log_->ActiveShard(0);
-      }
-    } else if (log_->num_active_shards() > 0) {
+    if (log_->num_active_shards() > 0) {
       // Repartition: log shards move with their partitions — seal the old
       // generation (kept for recovery) and place fresh shards below.
       log_->BeginGeneration();
@@ -365,11 +351,8 @@ void PartitionedExecutor::StartWorkers() {
       part->pool =
           std::make_shared<mem::ChunkPool>(mem::kPartitionChunkBytes, arena);
       part->inbox.SetPool(part->pool.get());
-      if (log_ != nullptr) {
-        part->shard = centralized
-                          ? central_shard_
-                          : log_->shard(log_->AddShard(part->pool, arena));
-      }
+      if (log_ != nullptr)
+        part->shard = log_->shard(log_->AddShard(part->pool, arena));
       // Invariant: a partition placed on a failed island is born
       // quarantined (reachable when a repartition rollback restores a
       // pre-failure scheme) — its worker drains it as a zombie, so
@@ -418,9 +401,8 @@ void PartitionedExecutor::WorkerLoop(Worker* w) {
   // a worker shared by several partitions attributes load and log
   // records exactly as a dedicated one would. The staged batch's records
   // (and the commit markers routed to the partition) are appended to its
-  // shard with one reservation per batch; the centralized configuration
-  // appends per record instead (a central log's protocol). A deque
-  // keeps each observer's writer pointer stable.
+  // shard with one reservation per batch. A deque keeps each observer's
+  // writer pointer stable.
   struct Lane {
     explicit Lane(Partition* part) : p(part), tally(*part->monitor) {}
     Partition* p;
@@ -432,32 +414,12 @@ void PartitionedExecutor::WorkerLoop(Worker* w) {
   for (Partition* p : w->parts) {
     Lane& l = lanes.emplace_back(p);
     if (log_ != nullptr) {
-      l.writer.emplace(log_.get(), p->shard,
-                       /*immediate=*/opt_.log_shards == 1);
+      l.writer.emplace(log_.get(), p->shard);
       l.observer.emplace(&*l.writer, p->seq,
                          opt_.log_wire == log::WireFormat::kCompactDiffV2);
     }
   }
   uint64_t drain_tick = 0;  // 1-in-8 sampling stride for the drain hists
-  const size_t K = opt_.interleave_depth <= 1
-                       ? 1
-                       : static_cast<size_t>(opt_.interleave_depth);
-  // Interleaved-drain slot (see below). The ring is sized once per
-  // thread and reused by every batch, so a steady-state drain allocates
-  // nothing.
-  struct Slot {
-    storage::PrefetchChain warm;  ///< the current stage's chain
-    const ActionTask* task = nullptr;
-    storage::Table* table = nullptr;
-    uint64_t key = 0;
-    /// Descent result; written by the WarmDescent frame, so it must be
-    /// address-stable — the ring is sized once and never moved.
-    std::optional<uint64_t> val;
-    uint64_t t0_ns = 0;
-    enum : uint8_t { kDescent = 0, kRecord, kWarmed };
-    uint8_t stage = kWarmed;
-  };
-  std::vector<Slot> ring(K > 1 ? K : 0);
   // Set when a drained batch appended a group-mode commit marker. The
   // worker requests one group flush per pass over its partitions, after
   // every lane appended its markers, so a commit whose markers landed on
@@ -512,140 +474,30 @@ void PartitionedExecutor::WorkerLoop(Worker* w) {
     // monitor so bins never look idle), keeping monitoring cost per-batch
     // as the paper's Table 2 budget demands.
     auto t0 = std::chrono::steady_clock::now();
-    uint64_t suspensions = 0;  // warm-pipeline resume hops this batch
-    // One task, serial-path semantics. The interleaved path funnels
-    // through this too (in admission order), so attribution is identical:
-    // the observer is (re)pointed at the task's txn immediately before
-    // its body runs and the body runs to completion on this thread —
-    // a suspended neighbor can never interleave log records mid-action.
-    auto run_task = [&](const ActionTask& task) {
-      if (task.act == nullptr) {
-        // This partition's commit marker for task.st: staged behind the
-        // transaction's data records in this partition's append order,
-        // so the shard's LSN order encodes write-ahead.
-        l.writer->AddCommitMarker(task.st->txn_id, task.st->commit_epoch,
-                                  task.st->marker_expected, task.st->ticket);
-        obs_->Count(obs::CounterId::kCommitMarkersAppended);
-        obs_->Trace(obs::SpanId::kCommitMarker, obs::TracePhase::kInstant,
-                    task.st->trace_id, p->seq);
-        return;
-      }
-      if (l.observer) l.observer->set_txn(task.st);
-      if (!zombie) l.tally.Touch(task.act->key);
-      RunAction(task, zombie);
-    };
-    if (K == 1 || zombie) {
-      // Serial drain — the exact pre-interleaving path, zero coroutine
-      // overhead. Zombies take it too: prefetching for actions that will
-      // only abort is wasted work.
-      while (chain != nullptr) {
-        TaskQueue::Chunk* c = chain;
-        chain = chain->next;
-        for (uint32_t i = 0; i < c->count; ++i) run_task(c->items[i]);
-        p->inbox.ReleaseChunk(c);
-      }
-    } else {
-      // Interleaved drain (AMAC-style software pipelining): up to K
-      // actions keep their warm pipelines in flight, rotated round-robin
-      // one prefetch hop per turn; each action's *body* still runs via
-      // run_task strictly in admission order (the head of the FIFO ring,
-      // only once its warm completed), so same-key ordering, marker
-      // order, completion and attribution match the serial loop exactly.
-      // The warm pipeline for one action: the index descent, then — when
-      // the descent surfaced a Rid-encoded value — the heap-record walk,
-      // one prefetch-and-suspend hop per turn. The two storage coroutines
-      // are driven directly (no wrapper coroutine: one transition per
-      // hop, one live frame per action). Purely advisory: warms never
-      // mutate, never charge AllocStats, and never hold a latch across a
-      // suspension; the body performs the authoritative access
-      // afterwards, cache-warm. A stale view (a neighbor's body moved
-      // the key between slices) just ends the warm early.
-      const bool tracing = obs_->trace_enabled();
-      size_t head = 0, live = 0;
-      // Coroutine frames recycle through the partition's chunk pool —
-      // steady-state interleaving allocates nothing, like the inbox
-      // chunks the tasks arrived in. Every frame of the batch is released
-      // before the batch ends, so the next partition's pool takes over.
-      storage::SetThreadFramePool(p->pool.get());
+    while (chain != nullptr) {
       TaskQueue::Chunk* c = chain;
-      uint32_t ci = 0;
-      auto next_task = [&]() -> const ActionTask* {
-        while (c != nullptr && ci >= c->count) {
-          c = c->next;
-          ci = 0;
+      chain = chain->next;
+      for (uint32_t i = 0; i < c->count; ++i) {
+        const ActionTask& task = c->items[i];
+        if (task.act == nullptr) {
+          // This partition's commit marker for task.st: staged behind the
+          // transaction's data records in this partition's append order,
+          // so the shard's LSN order encodes write-ahead.
+          l.writer->AddCommitMarker(task.st->txn_id, task.st->commit_epoch,
+                                    task.st->marker_expected,
+                                    task.st->ticket);
+          obs_->Count(obs::CounterId::kCommitMarkersAppended);
+          obs_->Trace(obs::SpanId::kCommitMarker, obs::TracePhase::kInstant,
+                      task.st->trace_id, p->seq);
+          continue;
         }
-        return c == nullptr ? nullptr : &c->items[ci++];
-      };
-      for (;;) {
-        // Admit: fill free slots in arrival order. Markers admit as
-        // already-done warms so they retire at their position in the
-        // order (write-ahead: behind the data records before them).
-        while (live < K) {
-          const ActionTask* t = next_task();
-          if (t == nullptr) break;
-          Slot& s = ring[(head + live) % K];
-          s.task = t;
-          s.t0_ns = tracing ? obs_->NowNs() : 0;
-          if (t->act != nullptr) {
-            s.table = t->table;
-            s.key = t->act->key;
-            s.val.reset();
-            size_t part = s.table->index().PartitionOf(s.key);
-            // Eager start: creation already issues the root prefetch.
-            s.warm = s.table->index().subtree(part).WarmDescent(s.key,
-                                                                &s.val);
-            s.stage = Slot::kDescent;
-          } else {
-            s.warm = storage::PrefetchChain();
-            s.stage = Slot::kWarmed;
-          }
-          ++live;
-        }
-        if (live == 0) break;
-        // Rotate: one prefetch hop per in-flight warm, oldest first. A
-        // finished descent chains into the heap-record warm when it
-        // surfaced a Rid-encoded value (micro tables store raw ints —
-        // no heap hop for those).
-        for (size_t i = 0; i < live; ++i) {
-          Slot& s = ring[(head + i) % K];
-          if (!s.warm.done()) {
-            s.warm.Resume();
-            ++suspensions;
-          } else if (s.stage == Slot::kDescent) {
-            s.stage = Slot::kRecord;
-            std::optional<storage::Rid> rid =
-                s.val.has_value() ? storage::Rid::TryDecode(*s.val)
-                                  : std::nullopt;
-            size_t part = s.table->index().PartitionOf(s.key);
-            if (rid.has_value() && part < s.table->num_partitions())
-              s.warm = s.table->heap(part).WarmRecord(*rid);
-            else
-              s.stage = Slot::kWarmed;
-          } else if (s.stage == Slot::kRecord) {
-            s.stage = Slot::kWarmed;
-          }
-        }
-        // Retire: only the head may run its body, even when younger
-        // slots finished warming first.
-        while (live > 0 && ring[head].stage == Slot::kWarmed) {
-          Slot& s = ring[head];
-          if (tracing && s.task->act != nullptr)
-            obs_->Trace(obs::SpanId::kInterleaveWarm,
-                        obs::TracePhase::kComplete, s.task->st->trace_id,
-                        obs_->NowNs() - s.t0_ns);
-          run_task(*s.task);
-          s.warm = storage::PrefetchChain();
-          head = (head + 1) % K;
-          --live;
-        }
+        // The observer is pointed at the task's txn immediately before
+        // its body runs, so every record the body logs is attributed to it.
+        if (l.observer) l.observer->set_txn(task.st);
+        if (!zombie) l.tally.Touch(task.act->key);
+        RunAction(task, zombie);
       }
-      storage::SetThreadFramePool(nullptr);
-      // Slots held pointers into the chunks; release only now.
-      while (chain != nullptr) {
-        TaskQueue::Chunk* done = chain;
-        chain = chain->next;
-        p->inbox.ReleaseChunk(done);
-      }
+      p->inbox.ReleaseChunk(c);
     }
     // One shard reservation per batch.
     if (l.writer && l.writer->Flush()) group_flush_owed = true;
@@ -666,8 +518,6 @@ void PartitionedExecutor::WorkerLoop(Worker* w) {
       // batch counter stays exact; the first drain always samples.
       if (obs_->metrics_enabled()) {
         obs_->Count(obs::CounterId::kBatchesDrained);
-        if (suspensions > 0)
-          obs_->Count(obs::CounterId::kInterleaveSuspensions, suspensions);
         if (!zombie && (drain_tick++ & 7u) == 0) {
           obs_->RecordLatency(obs::HistId::kDrainBatchUs,
                               static_cast<uint64_t>(us));
@@ -992,34 +842,9 @@ void PartitionedExecutor::FinishTxn(internal::TxnState* st, Status s) {
     log::PendingRecord r;
     r.txn = st->txn_id;
     r.type = log::LogType::kAbort;
-    if (opt_.log_shards == 1) {
-      // All partitions share the central shard; one record decides.
-      central_shard_->AppendOne(r, nullptr, nullptr);
-    } else {
-      ForEachTouchedPartition(st, [&](size_t seq) {
-        flat_parts_[seq]->shard->AppendOne(r, nullptr, nullptr);
-      });
-    }
-    CompleteTxn(st, std::move(s));
-    return;
-  }
-  if (opt_.log_shards == 1) {
-    // Centralized log — a shared-everything WAL's commit: one marker
-    // in the single shard (all data records already hit it per-record),
-    // and under kGroup the completing worker blocks in the group-commit
-    // window, exactly the stall the per-partition design eliminates.
-    log::CommitTicket* ticket = log_->BeginCommit(1, nullptr, false);
-    log::PendingRecord r;
-    r.txn = st->txn_id;
-    r.type = log::LogType::kCommit;
-    r.epoch = ticket->epoch;
-    r.marker_expected = 1;
-    r.ticket = ticket;
-    log::Lsn lsn = central_shard_->AppendOne(r, nullptr, nullptr);
-    // The central log's commits are flushed by the idle flusher's tick.
-    log_->NoteFlushOwed();
-    if (opt_.durability == DurabilityMode::kGroup)
-      central_shard_->WaitDurable(lsn);
+    ForEachTouchedPartition(st, [&](size_t seq) {
+      flat_parts_[seq]->shard->AppendOne(r, nullptr, nullptr);
+    });
     CompleteTxn(st, std::move(s));
     return;
   }

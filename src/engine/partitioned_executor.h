@@ -125,19 +125,12 @@ class PartitionedExecutor : public Database::Drainable {
  public:
   struct Options {
     DurabilityMode durability = DurabilityMode::kOff;
-    /// 0 = one log shard per partition, placed on the owner island and
-    /// reassigned with it on Repartition. 1 = a single centralized shard
-    /// run as a shared-everything write-ahead log (per-record appends
-    /// under one mutex; under kGroup the completing worker blocks in the
-    /// flush window) — the baseline the paper's Fig. 4 logging slice
-    /// measures against.
-    int log_shards = 0;
     /// Tick of the log's idle flusher, which applies only while a flush
     /// is owed to it; with nothing owed the flusher sleeps. Per-partition
     /// group commits never owe it one — the worker that appends a commit
     /// marker leads the flush — so the tick only bounds async-mode
-    /// durability lag, retries of short (faulted) flushes, flush requests
-    /// a leader left, and the centralized (log_shards = 1) commit's wait.
+    /// durability lag, retries of short (faulted) flushes and flush
+    /// requests a leader left.
     uint64_t log_flush_interval_us = 50;
     /// Log record serialization: kCompactDiffV2 (default) writes varint
     /// headers and diff-encodes updates as (offset, changed-range)
@@ -149,20 +142,6 @@ class PartitionedExecutor : public Database::Drainable {
     /// group commit with log_manager()->FlushAll() for deterministic
     /// durable points. kGroup commits only ack on an explicit flush then.
     bool log_manual_flush = false;
-    /// Interleaved action execution (storage/interleave.h): a worker keeps
-    /// up to this many drained actions in flight, overlapping their warm
-    /// phases — coroutine B-tree descents and heap-record walks that
-    /// prefetch the next node/page line and suspend — round-robin, so one
-    /// action's remote-island cache misses are hidden behind its
-    /// neighbors' work (AMAC-style software pipelining). Action *bodies*
-    /// still run strictly in admission order, so per-partition same-key
-    /// ordering, TxnFuture completion, write-ahead marker order, and log
-    /// attribution are identical to the serial loop. <= 1 keeps today's
-    /// serial drain with zero coroutine overhead (the default until a
-    /// deployment benches its own sweet spot — see bench/tatp_real_engine
-    /// --interleave_sweep). K > 1 helps remote-heavy/cache-cold
-    /// placements and hurts small cache-resident working sets.
-    int interleave_depth = 1;
     /// Hardware-counter profiling (obs::PerfCounters): each worker opens
     /// a perf_event_open group on itself and the snapshot source
     /// aggregates per island (atrapos_hw_*). Gated by the capability
@@ -396,8 +375,7 @@ class PartitionedExecutor : public Database::Drainable {
   /// nothing was logged (or durability is off / the transaction failed,
   /// after appending abort markers), otherwise runs the commit protocol —
   /// publish one marker per touched partition and defer CompleteTxn to
-  /// the commit ack (per-partition shards), or append the single marker
-  /// and optionally block in the flush window (centralized log).
+  /// the commit ack.
   void FinishTxn(internal::TxnState* st, Status s);
 
   /// log::LogManager ack: cookie is the TxnState whose commit markers
@@ -415,7 +393,6 @@ class PartitionedExecutor : public Database::Drainable {
   int obs_source_ = -1;  ///< AddSource id of the queue-depth/log source
   std::unique_ptr<CommitAckSink> ack_sink_;
   std::unique_ptr<log::LogManager> log_;
-  log::LogShard* central_shard_ = nullptr;  ///< log_shards == 1 fast path
   std::atomic<uint64_t> next_txn_id_{0};
   /// Partitions flattened by seq — marker publishing indexes it.
   std::vector<Partition*> flat_parts_;

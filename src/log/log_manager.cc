@@ -47,12 +47,6 @@ void LogManager::BeginGeneration() {
   SettleDurable(fired);
 }
 
-LogShard* LogManager::ActiveShard(size_t seq) {
-  std::lock_guard lk(shards_mu_);
-  if (active_.empty()) return nullptr;
-  return active_[seq < active_.size() ? seq : 0];
-}
-
 LogShard* LogManager::shard(int id) {
   std::lock_guard lk(shards_mu_);
   if (id < 0 || static_cast<size_t>(id) >= shards_.size()) return nullptr;
@@ -206,13 +200,12 @@ void LogManager::FlusherLoop() {
   // The idle flusher: group commits are flushed by their committers
   // (RequestFlush); this thread serves only what is owed to it
   // (NoteFlushOwed) — async-mode durability, windows a kLogShortFlush
-  // fault left unfinished, requests a leader left at its pass bound, and
-  // the centralized log's commits. Woken by the first owed flush, it
+  // fault left unfinished and requests a leader left at its pass bound.
+  // Woken by the first owed flush, it
   // ticks every flush_interval_us and runs a pass at each tick that finds
   // one owed; after kQuietTicks ticks in a row with nothing owed it
   // sleeps until the next. So a steady stream of owed work (async
-  // commits, or a centralized committer that appends again right after
-  // its flush) sees the same tick as an unconditional flusher, and an
+  // commits) sees the same tick as an unconditional flusher, and an
   // idle or committer-led log sees no wake-ups. It takes the same leader
   // flag, so at most one leader pass runs at a time.
   const auto tick = std::chrono::microseconds(opt_.flush_interval_us);
@@ -252,8 +245,6 @@ void LogManager::Stop() {
   // every settled waiter is acked, so no committer hangs at shutdown.
   FlushAll();
   stopped_.store(true, std::memory_order_release);
-  std::lock_guard lk(shards_mu_);
-  for (auto& s : shards_) s->MarkStopped();
 }
 
 DurablePoint LogManager::durable_point() const {
@@ -271,16 +262,6 @@ std::vector<ShardSnapshot> LogManager::SnapshotDurable() const {
   out.reserve(shards_.size());
   for (const auto& s : shards_) out.push_back(s->SnapshotDurable());
   return out;
-}
-
-// ---- centralized configuration ----------------------------------------------
-
-void LogManager::EnsureCentralShard(mem::Arena* arena) {
-  {
-    std::lock_guard lk(shards_mu_);
-    if (!shards_.empty()) return;
-  }
-  AddShard(nullptr, arena);
 }
 
 uint64_t LogManager::num_records() const {

@@ -1,8 +1,6 @@
 // LogManager: the island-partitioned durability subsystem's front door.
 //
-// Owns one LogShard per partition (the executor's default configuration)
-// or a single centralized shard (PartitionedExecutor::Options::log_shards
-// = 1, the shared-log baseline of the paper's Fig. 4 logging slice).
+// Owns one LogShard per partition, placed on the partition's island.
 //
 // Group commit is committer-led (Aether's flush pipelining): a worker
 // whose batch appended a group-mode commit marker calls RequestFlush().
@@ -15,8 +13,7 @@
 // A background idle flusher, under the same leader flag, serves only the
 // flushes no committer leads. Each is noted owed (NoteFlushOwed): an
 // async-mode commit marker's append, a window a kLogShortFlush fault cut
-// short, a request a leader left at its pass bound, and a centralized
-// (one-shard) commit. The flusher sleeps on a condvar while nothing is
+// short and a request a leader left at its pass bound. The flusher sleeps on a condvar while nothing is
 // owed, so an idle or committer-led log costs no wake-ups. Once woken it
 // ticks every flush_interval_us, passing at each tick that finds a flush
 // owed, and goes back to sleep after kQuietTicks ticks with nothing owed;
@@ -107,10 +104,6 @@ class LogManager {
   /// a new generation for subsequent AddShard calls.
   void BeginGeneration();
 
-  /// The active shard serving partition `seq` of the current generation
-  /// (clamped: the centralized configuration routes everything to its one
-  /// shard).
-  LogShard* ActiveShard(size_t seq);
   /// Any shard, sealed or active, by stable id.
   LogShard* shard(int id);
   size_t num_shards() const;       ///< all generations
@@ -148,18 +141,8 @@ class LogManager {
   /// after Stop().
   void RequestFlush();
 
-  /// Hands a flush pass no committer leads to the idle flusher: it will
-  /// flush every record appended before the call within about one
-  /// flush_interval_us. Wakes the flusher only when nothing was owed yet.
-  /// A no-op in manual mode. The executor calls it for each centralized
-  /// (one-shard) commit marker; the manager calls it itself for
-  /// append-acked markers, short writes and requests left at the leader's
-  /// pass bound.
-  void NoteFlushOwed();
-
-  /// Stops the flusher after a final FlushAll and freezes every shard's
-  /// durable point; a post-stop LogShard::WaitDurable returns the last
-  /// durable LSN immediately. Idempotent; also run by the destructor.
+  /// Stops the flusher after a final FlushAll; the durable point no longer
+  /// advances afterwards. Idempotent; also run by the destructor.
   void Stop();
 
   DurablePoint durable_point() const;
@@ -175,13 +158,6 @@ class LogManager {
   /// The durable prefix of every shard, all generations — what a crash at
   /// this instant would leave for log::Recover.
   std::vector<ShardSnapshot> SnapshotDurable() const;
-
-  // ---- centralized configuration -----------------------------------------
-
-  /// Ensures the centralized 1-shard configuration exists (id 0). Called
-  /// by the executor under log_shards = 1; a no-op when shards were
-  /// already added.
-  void EnsureCentralShard(mem::Arena* arena);
 
   // ---- totals -------------------------------------------------------------
 
@@ -201,6 +177,12 @@ class LogManager {
   /// flush_interval_us, leading a pass at each tick that finds one owed,
   /// until kQuietTicks ticks in a row found none.
   void FlusherLoop();
+  /// Hands a flush pass no committer leads to the idle flusher: it will
+  /// flush every record appended before the call within about one
+  /// flush_interval_us. Wakes the flusher only when nothing was owed yet.
+  /// A no-op in manual mode. Called for append-acked markers, short
+  /// writes and requests left at the leader's pass bound.
+  void NoteFlushOwed();
   /// Runs FlushAll passes while a request is pending, as leader, at most
   /// kMaxLeaderPasses; returns at once when another thread leads.
   void LeadFlushes();

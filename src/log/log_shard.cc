@@ -203,8 +203,8 @@ Lsn LogShard::AppendBatch(const PendingRecord* recs, size_t n,
   }
   num_records_.fetch_add(n, std::memory_order_relaxed);
   // Log traffic shows up in the island traffic matrix like any other
-  // partition-state access: local for per-partition shards, cross-island
-  // for the centralized configuration.
+  // partition-state access (local: the shard sits on its partition's
+  // island).
   if (arena_ != nullptr) arena_->RecordAccess(bytes);
   return first;
 }
@@ -223,7 +223,6 @@ bool LogShard::Flush(std::vector<CommitTicket*>* durable_fired) {
 bool LogShard::FlushInternal(std::vector<CommitTicket*>* durable_fired,
                              bool allow_fault) {
   Lsn tail;
-  bool advanced = false;
   bool whole = true;
   {
     std::lock_guard lk(mu_);
@@ -240,7 +239,6 @@ bool LogShard::FlushInternal(std::vector<CommitTicket*>* durable_fired,
       // The "flush": with a memory-mapped log disk this is a memcpy plus
       // fence; the group-commit window batches whatever accumulated.
       durable_lsn_.store(tail, std::memory_order_release);
-      advanced = true;
     }
     while (waiters_head_ < waiters_.size() &&
            waiters_[waiters_head_].first <= tail) {
@@ -253,35 +251,13 @@ bool LogShard::FlushInternal(std::vector<CommitTicket*>* durable_fired,
       waiters_head_ = 0;
     }
   }
-  if (advanced) flushed_cv_.notify_all();
   return whole;
-}
-
-Lsn LogShard::WaitDurable(Lsn lsn) {
-  Lsn durable = durable_lsn_.load(std::memory_order_acquire);
-  if (durable >= lsn) return durable;
-  std::unique_lock lk(mu_);
-  flushed_cv_.wait(lk, [&] {
-    return durable_lsn_.load(std::memory_order_acquire) >= lsn ||
-           stopped_.load(std::memory_order_acquire);
-  });
-  return durable_lsn_.load(std::memory_order_acquire);
 }
 
 void LogShard::Seal(std::vector<CommitTicket*>* durable_fired) {
   FlushInternal(durable_fired, /*allow_fault=*/false);
   std::lock_guard lk(mu_);
   sealed_ = true;
-}
-
-void LogShard::MarkStopped() {
-  {
-    // Under mu_ so a WaitDurable between predicate check and sleep cannot
-    // miss the wake.
-    std::lock_guard lk(mu_);
-    stopped_.store(true, std::memory_order_release);
-  }
-  flushed_cv_.notify_all();
 }
 
 std::vector<CommitTicket*> LogShard::TakeUnsettledWaiters() {

@@ -6,18 +6,15 @@
 // are lock-minimized in the spirit of mpsc_queue.h: a worker stages the
 // records of a whole drained batch locally (ShardWriter) and appends them
 // with ONE mutex acquisition — one LSN-range reservation per batch, not
-// per record. The centralized 1-shard configuration keeps a central log's
-// per-record appends (ShardWriter immediate mode), which is exactly the
-// contention the paper's Fig. 4 logging slice measures.
+// per record.
 //
 // Durability is per shard: LogManager's group-commit passes (led by
 // committing workers, or by its idle flusher) advance `durable_lsn` and
-// collect the commit tickets of markers that just became durable. Blocking waiters (the centralized kGroup commit) sleep
-// on a cv; after Stop() the durable LSN is frozen and WaitDurable returns
-// it immediately instead of hanging.
+// collect the commit tickets of markers that just became durable. Nothing
+// blocks on a shard: commit acks reach the executor through those tickets.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -55,33 +52,24 @@ class LogShard {
   Lsn AppendBatch(const PendingRecord* recs, size_t n, const uint8_t* images,
                   std::vector<CommitTicket*>* append_fired);
 
-  /// Single-record convenience: the per-record append path of the
-  /// centralized configuration and the abort markers.
+  /// Single-record convenience: the executor's abort markers.
   Lsn AppendOne(const PendingRecord& rec, const uint8_t* image,
                 std::vector<CommitTicket*>* append_fired);
 
-  /// Group commit: advances the durable LSN to the current tail, wakes
-  /// blocking waiters, and appends (never clears) the tickets of commit
-  /// markers that just became durable to `durable_fired` for the caller
-  /// to settle outside the lock. Under an armed kLogShortFlush fault the
-  /// durable LSN advances only part-way (a short write); the next flush
-  /// pass completes the window, so group commit degrades to higher
-  /// latency, never to a lost ack. Returns false when the write was short
-  /// (a later pass is owed).
+  /// Group commit: advances the durable LSN to the current tail and
+  /// appends (never clears) the tickets of commit markers that just
+  /// became durable to `durable_fired` for the caller to settle outside
+  /// the lock. Under an armed kLogShortFlush fault the durable LSN
+  /// advances only part-way (a short write); the next flush pass
+  /// completes the window, so group commit degrades to higher latency,
+  /// never to a lost ack. Returns false when the write was short (a later
+  /// pass is owed).
   bool Flush(std::vector<CommitTicket*>* durable_fired);
-
-  /// Blocks until `lsn` is durable and returns the durable LSN then —
-  /// or, once the shard is stopped, returns the frozen durable LSN
-  /// immediately (a stopped shard's durable point can never advance).
-  Lsn WaitDurable(Lsn lsn);
 
   /// Final flush + no further appends (asserted). Sealed shards stay
   /// readable for recovery; Repartition seals a generation's shards when
   /// their partitions are reassigned.
   void Seal(std::vector<CommitTicket*>* durable_fired);
-
-  /// Marks the shard stopped (durable LSN frozen) and wakes waiters.
-  void MarkStopped();
 
   /// Drains the not-yet-durable commit tickets (markers appended after the
   /// final flush); the manager's destructor reclaims them.
@@ -141,7 +129,6 @@ class LogShard {
   mem::Arena* const arena_;
 
   mutable std::mutex mu_;
-  std::condition_variable flushed_cv_;
   std::vector<Buf> bufs_;           // the chunk chain (the "disk")
   Lsn next_lsn_ = 1;                // guarded by mu_
   bool sealed_ = false;             // guarded by mu_
@@ -157,7 +144,6 @@ class LogShard {
   Lsn torn_lsn_ = 0;
 
   std::atomic<Lsn> durable_lsn_{0};
-  std::atomic<bool> stopped_{false};
   std::atomic<uint64_t> num_records_{0};
   std::atomic<uint64_t> bytes_logged_{0};
 };

@@ -1,17 +1,13 @@
 // ShardWriter: a partition worker's staging buffer for its log shard.
 //
-// Batched mode (per-partition shards): the worker stages every record its
-// drained batch produces — data after-images and the commit markers routed
-// to it through its inbox — and Flush() appends them with one shard-lock
-// acquisition, preserving the order the worker executed them in (the
-// write-ahead invariant: a transaction's marker is staged by the owning
-// worker, so it always lands after the transaction's data records).
+// The worker stages every record its drained batch produces — data
+// after-images and the commit markers routed to it through its inbox — and
+// Flush() appends them with one shard-lock acquisition, preserving the
+// order the worker executed them in (the write-ahead invariant: a
+// transaction's marker is staged by the owning worker, so it always lands
+// after the transaction's data records).
 // Staging reuses the same vectors forever, so the logging fast path
 // allocates nothing in steady state.
-//
-// Immediate mode (centralized 1-shard configuration): every Add goes
-// straight to the shard under its mutex — a central log's per-record
-// protocol, kept measurable for the Fig. 4 comparison.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +23,7 @@ namespace atrapos::log {
 
 class ShardWriter {
  public:
-  ShardWriter(LogManager* mgr, LogShard* shard, bool immediate)
-      : mgr_(mgr), shard_(shard), immediate_(immediate) {
+  ShardWriter(LogManager* mgr, LogShard* shard) : mgr_(mgr), shard_(shard) {
     pending_.reserve(64);
     images_.reserve(4096);
   }
@@ -47,7 +42,6 @@ class ShardWriter {
     r.image_size = image_size;
     if (image_size > 0) images_.insert(images_.end(), image, image + image_size);
     pending_.push_back(r);
-    if (immediate_) Flush();
   }
 
   /// Stages a diff-encoded update: only the `len` changed bytes at
@@ -67,7 +61,6 @@ class ShardWriter {
     r.image_size = len;
     if (len > 0) images_.insert(images_.end(), bytes, bytes + len);
     pending_.push_back(r);
-    if (immediate_) Flush();
   }
 
   /// Stages this partition's commit marker for `txn`.
@@ -82,7 +75,6 @@ class ShardWriter {
     r.ticket = ticket;
     if (ticket != nullptr && !ticket->fire_on_append) group_marker_ = true;
     pending_.push_back(r);
-    if (immediate_) Flush();
   }
 
   /// One reservation for everything staged since the last flush; acks
@@ -103,7 +95,6 @@ class ShardWriter {
  private:
   LogManager* const mgr_;
   LogShard* const shard_;
-  const bool immediate_;
   std::vector<PendingRecord> pending_;
   std::vector<uint8_t> images_;
   std::vector<CommitTicket*> append_fired_;

@@ -67,7 +67,8 @@ const char* CounterHelp(CounterId c) {
     case CounterId::kFaultTxnsUnavailable:
       return "Actions failed kUnavailable by a quarantined worker.";
     case CounterId::kInterleaveSuspensions:
-      return "Warm-pipeline suspend/resume hops (interleaved execution).";
+      return "Always 0: the interleaved drain was removed; kept for the "
+             "benchmark's per-layer report.";
     case CounterId::kWorkerParks:
       return "Worker park episodes (blocked after a pass found every inbox "
              "empty).";
@@ -84,7 +85,6 @@ const char* GaugeName(GaugeId g) {
     case GaugeId::kDurableLagEpochs: return "durable_lag_epochs";
     case GaugeId::kNetOpenConnections: return "net_open_connections";
     case GaugeId::kNetInflightTxns: return "net_inflight_txns";
-    case GaugeId::kInterleaveDepth: return "interleave_depth";
     case GaugeId::kCount: break;
   }
   return "?";
@@ -100,8 +100,6 @@ const char* GaugeHelp(GaugeId g) {
       return "Wire-tier connections currently open.";
     case GaugeId::kNetInflightTxns:
       return "Wire-tier requests submitted whose response is not yet queued.";
-    case GaugeId::kInterleaveDepth:
-      return "Configured in-flight actions per worker (1 = serial drain).";
     case GaugeId::kCount: break;
   }
   return "?";

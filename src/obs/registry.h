@@ -68,8 +68,9 @@ enum class CounterId : uint16_t {
   kFaultIslandKills,      ///< islands fail-stopped (injected or KillIsland)
   kFaultPartitionsEvacuated, ///< partitions re-homed off a failed island
   kFaultTxnsUnavailable,  ///< actions failed kUnavailable by a quarantined worker
-  // ---- interleaved execution (storage/interleave.h) -----------------------
-  kInterleaveSuspensions, ///< warm-pipeline suspend/resume hops (flushed per batch)
+  // Retired with the interleaved drain; always 0. Kept because the repo
+  // benchmark still reports it (engine.interleave_suspensions_per_txn).
+  kInterleaveSuspensions,
   // ---- worker park/wake (one worker thread per placement core) -----------
   kWorkerParks,           ///< park episodes: a worker blocked after an empty pass
   kWorkerWakes,           ///< claimed wakes: producers that notified a parked worker
@@ -82,7 +83,6 @@ enum class GaugeId : uint16_t {
   kDurableLagEpochs,     ///< last commit epoch minus durable epoch watermark
   kNetOpenConnections,   ///< wire-tier connections currently open
   kNetInflightTxns,      ///< wire-tier requests submitted, response not queued
-  kInterleaveDepth,      ///< configured in-flight actions per worker (1 = serial)
   kCount
 };
 const char* GaugeName(GaugeId g);

@@ -20,7 +20,6 @@ const char* SpanName(SpanId s) {
     case SpanId::kClientSend: return "client_send";
     case SpanId::kWireDecode: return "wire_decode";
     case SpanId::kWireAck: return "wire_ack";
-    case SpanId::kInterleaveWarm: return "interleave_warm";
     case SpanId::kCount: break;
   }
   return "?";

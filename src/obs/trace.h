@@ -48,11 +48,6 @@ enum class SpanId : uint8_t {
   kClientSend,        ///< instant: client wrote the TXN request frame
   kWireDecode,        ///< instant: server decoded + admitted the request
   kWireAck,           ///< instant: server queued the response frame
-  /// X on a worker: one action's warm pipeline, admission (first prefetch
-  /// issued / first suspend) → last resume; arg = duration in ns. The
-  /// suspend/resume lifecycle of interleaved execution — recorded at
-  /// retirement, immediately before the body's kAction span.
-  kInterleaveWarm,
   kCount
 };
 const char* SpanName(SpanId s);

@@ -221,46 +221,6 @@ Status BPlusTree::Delete(uint64_t key) {
   return Status::OK();
 }
 
-// Warm counterpart of FindLeaf for the interleaved worker loop. Each
-// resume slice reads only memory whose lines the previous slice
-// prefetched, issues the next prefetch, and parks — the AMAC pattern.
-// Reads within one slice are consistent (resumes are interleaved with
-// whole action bodies on one thread, never mid-mutation); across slices
-// the tree may have shifted under a neighbor's insert/delete, which can
-// make the walk stale but never unsafe (normal operation only allocates
-// nodes; see the header comment). Deliberately never calls
-// ChargeNodeTouch: the authoritative descent in the action body does.
-PrefetchChain BPlusTree::WarmDescent(uint64_t key,
-                                     std::optional<uint64_t>* value_out) const {
-  value_out->reset();
-  const Node* n = root_;
-  while (n != nullptr && !n->leaf) {
-    const auto* in = static_cast<const Internal*>(n);
-    // The node struct is resident (the previous hop prefetched it); its
-    // key/child arrays live in their own heap blocks behind pointers we
-    // can now read.
-    PrefetchSpan(in->keys.data(), in->keys.size() * sizeof(uint64_t));
-    PrefetchSpan(in->children.data(), in->children.size() * sizeof(Node*));
-    co_await StallPoint{};
-    size_t i = static_cast<size_t>(
-        std::upper_bound(in->keys.begin(), in->keys.end(), key) -
-        in->keys.begin());
-    if (i >= in->children.size()) co_return;  // stale view: stop warming
-    const Node* child = in->children[i];
-    __builtin_prefetch(child, 0, 3);
-    co_await StallPoint{};
-    n = child;
-  }
-  if (n == nullptr) co_return;
-  const auto* lf = static_cast<const Leaf*>(n);
-  PrefetchSpan(lf->keys.data(), lf->keys.size() * sizeof(uint64_t));
-  PrefetchSpan(lf->vals.data(), lf->vals.size() * sizeof(uint64_t));
-  co_await StallPoint{};
-  auto it = std::lower_bound(lf->keys.begin(), lf->keys.end(), key);
-  if (it != lf->keys.end() && *it == key)
-    *value_out = lf->vals[static_cast<size_t>(it - lf->keys.begin())];
-}
-
 void BPlusTree::Scan(uint64_t lo, uint64_t hi,
                      const std::function<bool(uint64_t, uint64_t)>& fn) const {
   Leaf* lf = FindLeaf(lo);

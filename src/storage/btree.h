@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "storage/interleave.h"
 #include "util/status.h"
 
 namespace atrapos::mem {
@@ -53,20 +52,6 @@ class BPlusTree {
   /// Visits [lo, hi] in key order; return false from `fn` to stop early.
   void Scan(uint64_t lo, uint64_t hi,
             const std::function<bool(uint64_t, uint64_t)>& fn) const;
-
-  /// Resumable warm descent for interleaved execution (interleave.h): the
-  /// same root-to-leaf walk as FindLeaf, but each hop prefetches the next
-  /// node's cache lines and suspends at a StallPoint so the worker can
-  /// rotate to another in-flight action while the lines travel. When the
-  /// chain completes, `*value_out` holds the key's value as of the final
-  /// resume slice (nullopt if absent) — callers use it to chain a heap
-  /// warm, never as the authoritative read. Advisory only: nothing is
-  /// charged to AllocStats (the action body's real descent pays), and a
-  /// concurrent same-thread mutation between slices at worst wastes a
-  /// prefetch — nodes are never freed outside BulkLoad/MigrateTo, which
-  /// only run with workers stopped, so revisited pointers stay valid.
-  PrefetchChain WarmDescent(uint64_t key,
-                            std::optional<uint64_t>* value_out) const;
 
   /// Removes all entries with key >= `from` and returns them sorted —
   /// the physical half of a partition split.

@@ -73,30 +73,6 @@ Status HeapFile::ReadImpl(Rid rid, uint8_t* out, uint32_t len,
   return Status::OK();
 }
 
-PrefetchChain HeapFile::WarmRecord(Rid rid) const {
-  const Page* page = nullptr;
-  {
-    std::shared_lock lk(mu_);
-    if (CheckRid(rid).ok()) page = pages_[rid.page].get();
-  }  // latch released before the first suspension
-  if (page == nullptr) co_return;
-  // Hop 1: the Page object itself (holds the slot-directory pointer).
-  __builtin_prefetch(page, 0, 3);
-  co_await StallPoint{};
-  // Hop 2: the slot-directory entry naming the record's offset/length.
-  const void* entry = page->SlotEntryAddr(rid.slot);
-  if (entry == nullptr) co_return;
-  __builtin_prefetch(entry, 0, 3);
-  co_await StallPoint{};
-  // Hop 3: the record bytes inside the 8 KiB frame. Page::Get charges
-  // nothing (HeapFile does), so the warm stays out of AllocStats.
-  uint32_t stored = 0;
-  const uint8_t* rec = page->Get(rid.slot, &stored);
-  if (rec == nullptr) co_return;
-  PrefetchSpan(rec, stored);
-  co_await StallPoint{};  // give the lines time before the body runs
-}
-
 Status HeapFile::Update(Rid rid, const uint8_t* data, uint32_t len) {
   std::unique_lock lk(mu_);
   ATRAPOS_RETURN_NOT_OK(CheckRid(rid));

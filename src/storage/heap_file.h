@@ -20,7 +20,6 @@
 #include <shared_mutex>
 #include <vector>
 
-#include "storage/interleave.h"
 #include "storage/page.h"
 #include "util/status.h"
 
@@ -64,17 +63,6 @@ class HeapFile {
                     uint32_t len);
 
   Status Delete(Rid rid);
-
-  /// Resumable record warm for interleaved execution (interleave.h):
-  /// pulls the page object, its slot-directory entry, and finally the
-  /// record bytes toward the core one prefetch-and-suspend hop at a time.
-  /// Advisory only — nothing is charged to AllocStats and the latch is
-  /// held only inside the first slice (never across a suspension, which
-  /// would self-deadlock against a neighbor action's unique_lock on the
-  /// same thread). Safe latch-free afterwards: page frames are
-  /// address-stable for the heap's lifetime and Reset/MigrateTo only run
-  /// with workers stopped.
-  PrefetchChain WarmRecord(Rid rid) const;
 
   /// Future pages allocate from `arena` (existing pages stay put; use
   /// MigrateTo to move them).

@@ -121,14 +121,6 @@ class Page {
   /// frame) — the physical half of migrating a partition to a new island.
   void Reseat(mem::Arena* arena);
 
-  /// Address of `slot`'s directory entry (nullptr when out of range) —
-  /// prefetch target for the warm pipeline (storage/interleave.h), which
-  /// wants the slot line in flight before Get() reads it.
-  const void* SlotEntryAddr(uint32_t slot) const {
-    return slot < num_slots_ ? static_cast<const void*>(&slots_[slot])
-                             : nullptr;
-  }
-
   mem::Arena* arena() const { return arena_; }
   uint32_t num_slots() const { return num_slots_; }
   uint32_t live_records() const { return live_; }

@@ -25,26 +25,46 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t def) const {
+const std::string* Flags::Find(const std::string& name) const {
+  read_.insert(name);
   auto it = kv_.find(name);
-  return it == kv_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == kv_.end() ? nullptr : &it->second;
+}
+
+bool Flags::Has(const std::string& name) const {
+  return Find(name) != nullptr;
+}
+
+int64_t Flags::GetInt(const std::string& name, int64_t def) const {
+  const std::string* v = Find(name);
+  return v == nullptr ? def : std::strtoll(v->c_str(), nullptr, 10);
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
-  auto it = kv_.find(name);
-  return it == kv_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = Find(name);
+  return v == nullptr ? def : std::strtod(v->c_str(), nullptr);
 }
 
 bool Flags::GetBool(const std::string& name, bool def) const {
-  auto it = kv_.find(name);
-  if (it == kv_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* v = Find(name);
+  if (v == nullptr) return def;
+  return *v == "true" || *v == "1" || *v == "yes";
 }
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& def) const {
-  auto it = kv_.find(name);
-  return it == kv_.end() ? def : it->second;
+  const std::string* v = Find(name);
+  return v == nullptr ? def : *v;
+}
+
+void Flags::RejectUnknown() const {
+  bool unknown = false;
+  for (const auto& kv : kv_) {
+    if (read_.count(kv.first) > 0) continue;
+    std::fprintf(stderr, "unknown flag: --%s\n", kv.first.c_str());
+    unknown = true;
+  }
+  if (unknown) std::exit(2);
 }
 
 }  // namespace atrapos

@@ -1,9 +1,12 @@
 // Minimal command-line flag parsing for bench/example binaries:
-// --name=value or --name value. Unknown flags are an error so typos surface.
+// --name=value or --name value. Unknown flags are an error so typos surface:
+// the getters record every name they are asked for, and RejectUnknown(),
+// called once after the last getter, exits on any flag none of them read.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 namespace atrapos {
@@ -19,10 +22,18 @@ class Flags {
   bool GetBool(const std::string& name, bool def) const;
   std::string GetString(const std::string& name, const std::string& def) const;
 
-  bool Has(const std::string& name) const { return kv_.count(name) > 0; }
+  bool Has(const std::string& name) const;
+
+  /// Exits 2, naming each one, when a flag was given that no getter (or
+  /// Has) has read. Call after every flag the binary accepts was read.
+  void RejectUnknown() const;
 
  private:
+  /// The value of `name`, or nullptr; records `name` as read.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> kv_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace atrapos

@@ -149,18 +149,13 @@ TEST(LogShardTest, SnapshotCutsAtDurableLsn) {
   EXPECT_EQ(snap.records[0].key, 10u);
   mgr.FlushAll();
   EXPECT_EQ(shard->SnapshotDurable().records.size(), 2u);
-}
-
-TEST(LogShardTest, WaitDurableAfterStopReturnsImmediately) {
-  log::LogManager mgr(ManualFlush());
-  log::LogShard* shard = mgr.shard(mgr.AddShard(nullptr, nullptr));
-  log::PendingRecord r;
-  r.txn = 1;
-  r.type = LogType::kBegin;
+  r.key = 12;
   shard->AppendOne(r, nullptr, nullptr);
-  mgr.Stop();  // final flush freezes durable at 1
-  shard->AppendOne(r, nullptr, nullptr);  // lsn 2, never durable
-  EXPECT_EQ(shard->WaitDurable(2), 1u);   // returns, does not hang
+  mgr.Stop();  // the final flush makes lsn 3 durable, then freezes
+  r.key = 13;
+  shard->AppendOne(r, nullptr, nullptr);  // lsn 4, never durable
+  EXPECT_EQ(shard->durable_lsn(), 3u);
+  EXPECT_EQ(shard->SnapshotDurable().records.size(), 3u);
 }
 
 // ---- v2 varint encoding -----------------------------------------------------
@@ -522,18 +517,9 @@ ActionGraph ReadKey(int table, uint64_t key) {
   return g;
 }
 
-/// The centralized sync-commit path wakes the committer on the flush cv a
-/// hair before the flusher settles the ticket; spin until the watermark
-/// catches up instead of racing it.
-void WaitForDurableEpoch(log::LogManager* mgr, uint64_t epoch) {
-  for (int i = 0; i < 2000 && mgr->durable_epoch() < epoch; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-}
-
-PartitionedExecutor::Options GroupOpts(int shards = 0) {
+PartitionedExecutor::Options GroupOpts() {
   PartitionedExecutor::Options o;
   o.durability = DurabilityMode::kGroup;
-  o.log_shards = shards;
   o.log_flush_interval_us = 30;
   return o;
 }
@@ -548,8 +534,8 @@ TEST(ExecutorDurabilityTest, GroupCommitWaitsForDurableMarkers) {
   EXPECT_EQ(mgr->num_active_shards(), 4u);  // one shard per partition
   for (uint64_t k = 0; k < 64; ++k)
     ASSERT_TRUE(exec.SubmitAndWait(AddDelta(0, k, 1)).ok());
-  // Every write transaction is durable the moment its future resolves.
-  WaitForDurableEpoch(mgr, 64);
+  // Every write transaction is durable the moment its future resolves:
+  // the flush pass advances the epoch watermark before it acks.
   EXPECT_EQ(mgr->durable_epoch(), 64u);
   log::DurablePoint p = mgr->durable_point();
   uint64_t records = 0;
@@ -567,20 +553,6 @@ TEST(ExecutorDurabilityTest, ReadOnlyTransactionsForceNothing) {
     ASSERT_TRUE(exec.SubmitAndWait(ReadKey(0, k)).ok());
   EXPECT_EQ(exec.log_manager()->num_records(), 0u);
   EXPECT_EQ(exec.log_manager()->durable_epoch(), 0u);
-}
-
-TEST(ExecutorDurabilityTest, CentralizedConfigUsesOneShard) {
-  hw::Topology topo = hw::Topology::SingleSocket(4);
-  Database db({.topo = topo});
-  db.AddTable(MicroTable(64));
-  PartitionedExecutor exec(&db, topo, OneTableScheme(64, 4), GroupOpts(1));
-  for (uint64_t k = 0; k < 64; ++k)
-    ASSERT_TRUE(exec.SubmitAndWait(AddDelta(0, k, 1)).ok());
-  log::LogManager* mgr = exec.log_manager();
-  EXPECT_EQ(mgr->num_active_shards(), 1u);
-  EXPECT_EQ(mgr->num_records(), 128u);  // everything funnels into shard 0
-  WaitForDurableEpoch(mgr, 64);
-  EXPECT_EQ(mgr->durable_epoch(), 64u);
 }
 
 TEST(ExecutorDurabilityTest, AsyncModeAcksBeforeDurable) {
@@ -866,12 +838,14 @@ TEST(IdleFlusherTest, AppendAckedTicketIsFlushedByTheIdleFlusher) {
   Lsn lsn = shard->AppendOne(r, nullptr, &fired);
   ASSERT_EQ(fired.size(), 1u);
   mgr.OnMarkersAppended(fired);
-  EXPECT_EQ(shard->WaitDurable(lsn), lsn);  // hangs if nothing flushes
+  // Nothing else flushes: only the idle flusher can make lsn durable.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (mgr.durable_epoch() < 1 &&
+  while ((mgr.durable_point().shard_lsns[0] < lsn ||
+          mgr.durable_epoch() < 1) &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::microseconds(100));
+  EXPECT_EQ(mgr.durable_point().shard_lsns[0], lsn);
   EXPECT_EQ(mgr.durable_epoch(), 1u);
 }
 

@@ -397,18 +397,16 @@ TEST(EngineObsTest, StatsSnapshotExposesTheWiredFields) {
   }
 }
 
-TEST(EngineObsTest, SteadyStateInterleavedDrainAllocatesNothing) {
+TEST(EngineObsTest, SteadyStateDrainAllocatesNothing) {
   hw::Topology topo = hw::Topology::SingleSocket(2);
   Database db({.topo = topo});
   const uint64_t rows = 2048;
   db.AddTable(MicroTable(rows, {0}));
   PartitionedExecutor::Options o;
-  o.interleave_depth = 4;
   o.hw_counters = false;
   PartitionedExecutor exec(&db, topo, OneTableScheme(rows, 1), o);
-  // Single-stage no-op graphs: the worker's whole path is drain, K=4
-  // warm pipelines (pooled coroutine frames), body and completion — no
-  // RVP fan-out, no log.
+  // Single-stage no-op graphs: the worker's whole path is drain, body
+  // and completion — no RVP fan-out, no log.
   auto wave = [&](uint64_t base) {
     std::vector<ActionGraph> graphs;
     for (uint64_t i = 0; i < 64; ++i) {
@@ -421,10 +419,10 @@ TEST(EngineObsTest, SteadyStateInterleavedDrainAllocatesNothing) {
     ASSERT_TRUE(fs.ok());
     for (auto& f : fs.value()) ASSERT_TRUE(f.Wait().ok());
   };
-  // Warm up: registry shards, frame and chunk pools, the slot ring.
+  // Warm up: registry shards and the inbox chunk pool.
   for (uint64_t w = 0; w < 20; ++w) wave(w);
-  const uint64_t hops = db.StatsSnapshot().counter(
-      CounterId::kInterleaveSuspensions);
+  const uint64_t drains =
+      db.StatsSnapshot().counter(CounterId::kBatchesDrained);
   // Measured: this (client) thread's allocations are left out; any other
   // allocation in the window is the engine's.
   t_uncounted = true;
@@ -432,10 +430,9 @@ TEST(EngineObsTest, SteadyStateInterleavedDrainAllocatesNothing) {
   for (uint64_t w = 20; w < 60; ++w) wave(w);
   const uint64_t after = g_allocs.load(std::memory_order_relaxed);
   t_uncounted = false;
-  EXPECT_EQ(after, before) << "steady-state K=4 drain allocated";
-  EXPECT_GT(db.StatsSnapshot().counter(CounterId::kInterleaveSuspensions),
-            hops)
-      << "the measured waves did not take the interleaved path";
+  EXPECT_EQ(after, before) << "steady-state drain allocated";
+  EXPECT_GT(db.StatsSnapshot().counter(CounterId::kBatchesDrained), drains)
+      << "the measured waves were not drained by a worker";
 }
 
 TEST(EngineObsTest, CommitLatencyQuantilesAreOrdered) {

@@ -325,7 +325,15 @@ TEST(ServerTest, GlobalInflightCapShedsInsteadOfQueueing) {
   while (c.outstanding() > 0) c.Poll(-1);
   EXPECT_EQ(ok.load(), 4);
   EXPECT_EQ(shed.load(), 16);
-  // Shed, not queued: once drained nothing is left in flight.
+  // Shed, not queued: once drained nothing is left in flight. A completion
+  // releases its slot just after queueing the ack (Stop() relies on that
+  // order), so the client can read the last ack a moment before the
+  // release; a slot that is never released still fails here.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (s.server->inflight() != 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   EXPECT_EQ(s.server->inflight(), 0u);
 }
 

@@ -5,6 +5,7 @@
 
 #include "obs/histogram.h"
 #include "util/backoff.h"
+#include "util/flags.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -204,6 +205,22 @@ TEST(BackoffTest, ResetRestartsFromBase) {
   b.Reset();
   EXPECT_EQ(b.attempts(), 0u);
   EXPECT_EQ(b.NextDelayUs(), 100u);  // history forgotten: base again
+}
+
+// A flag no getter read is a typo or a retired option: RejectUnknown()
+// names it and exits 2 instead of running the default configuration.
+TEST(FlagsTest, RejectUnknownExitsOnAFlagNoGetterRead) {
+  const char* argv[] = {"bench", "--cores=2", "--quick", "--durabilty=group",
+                        "--seed", "7"};
+  Flags flags(6, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("cores", 4), 2);
+  EXPECT_TRUE(flags.GetBool("quick", false));
+  EXPECT_EQ(flags.GetInt("seed", 42), 7);
+  EXPECT_EQ(flags.GetString("json", "none"), "none");  // absent: default
+  EXPECT_EXIT(flags.RejectUnknown(), ::testing::ExitedWithCode(2),
+              "unknown flag: --durabilty");
+  EXPECT_TRUE(flags.Has("durabilty"));  // Has reads the name too
+  flags.RejectUnknown();                // every flag read: returns
 }
 
 }  // namespace
