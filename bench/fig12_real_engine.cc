@@ -4,7 +4,7 @@
 // timeline around a hardware-island failure; this harness measures it on
 // the real-thread partitioned executor. TATP runs under group-commit
 // durability with closed-loop client threads (depth 32, batch 32 — the
-// acceptance point of tatp_real_engine); at --kill_at of the run one of
+// load shape of perfbench's TATP workloads); at --kill_at of the run one of
 // the two hardware islands fail-stops via KillIsland: its in-flight
 // transactions abort kUnavailable (never hang), its partitions are
 // evacuated onto the survivor through the Repartition path, and the log
@@ -41,22 +41,6 @@ using namespace atrapos;
 using namespace atrapos::bench;
 
 namespace {
-
-core::Scheme TatpScheme(uint64_t subscribers, int partitions) {
-  core::Scheme scheme;
-  for (int t = 0; t < 4; ++t) {
-    uint64_t factor = t == 0 ? 1 : (t == 3 ? 32 : 4);
-    core::TableScheme ts;
-    for (int p = 0; p < partitions; ++p) {
-      ts.boundaries.push_back(subscribers * factor *
-                              static_cast<uint64_t>(p) /
-                              static_cast<uint64_t>(partitions));
-      ts.placement.push_back(p);
-    }
-    scheme.tables.push_back(ts);
-  }
-  return scheme;
-}
 
 constexpr int kBucketMs = 25;
 
@@ -106,9 +90,9 @@ FigResult RunOnce(const hw::Topology& topo, uint64_t subscribers, int clients,
                      static_cast<uint64_t>(topo.num_cores()));
   for (auto& t : workload::BuildTatpTables(subscribers, bounds, seed))
     db.AddTable(std::move(t));
-  engine::PartitionedExecutor exec(&db, topo,
-                                   TatpScheme(subscribers, topo.num_cores()),
-                                   exec_opt);
+  engine::PartitionedExecutor exec(
+      &db, topo, workload::TatpScheme(subscribers, topo.num_cores()),
+      exec_opt);
 
   workload::TatpActionGraphs graphs(subscribers);
 

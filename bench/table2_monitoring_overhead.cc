@@ -37,22 +37,6 @@ using namespace atrapos::simengine;
 
 namespace {
 
-core::Scheme TatpScheme(uint64_t subscribers, int partitions) {
-  core::Scheme scheme;
-  for (int t = 0; t < 4; ++t) {
-    uint64_t factor = t == 0 ? 1 : (t == 3 ? 32 : 4);
-    core::TableScheme ts;
-    for (int p = 0; p < partitions; ++p) {
-      ts.boundaries.push_back(subscribers * factor *
-                              static_cast<uint64_t>(p) /
-                              static_cast<uint64_t>(partitions));
-      ts.placement.push_back(p);
-    }
-    scheme.tables.push_back(ts);
-  }
-  return scheme;
-}
-
 struct RealResult {
   double tps = 0;
   uint64_t commit_p50_us = 0;
@@ -92,9 +76,8 @@ RealResult RunReal(const hw::Topology& topo, uint64_t subscribers,
     db.AddTable(std::move(t));
   engine::PartitionedExecutor::Options eopt;
   eopt.hw_counters = hw;  // the A/B baselines must not pay for perf groups
-  engine::PartitionedExecutor exec(&db, topo,
-                                   TatpScheme(subscribers, topo.num_cores()),
-                                   eopt);
+  engine::PartitionedExecutor exec(
+      &db, topo, workload::TatpScheme(subscribers, topo.num_cores()), eopt);
 
   workload::TatpActionGraphs graphs(subscribers);
   Rng rng(seed);

@@ -38,17 +38,8 @@ int main() {
   for (auto& t : tables) db.AddTable(std::move(t));
 
   // Partitioned executor: one worker per partition.
-  core::Scheme scheme;
-  for (int t = 0; t < 4; ++t) {
-    core::TableScheme ts;
-    uint64_t factor = t == 0 ? 1 : (t == 3 ? 32 : 4);
-    for (int p = 0; p < 4; ++p) {
-      ts.boundaries.push_back(bounds[static_cast<size_t>(p)] * factor);
-      ts.placement.push_back(p);
-    }
-    scheme.tables.push_back(ts);
-  }
-  engine::PartitionedExecutor exec(&db, topo, scheme);
+  engine::PartitionedExecutor exec(&db, topo,
+                                   workload::TatpScheme(kSubscribers, 4));
 
   auto spec = workload::TatpSpec(kSubscribers);
   engine::AdaptiveManager::Options mopt;

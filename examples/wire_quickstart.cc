@@ -18,26 +18,6 @@
 
 using namespace atrapos;
 
-namespace {
-
-core::Scheme TatpScheme(uint64_t subscribers, int partitions) {
-  core::Scheme scheme;
-  for (int t = 0; t < 4; ++t) {
-    uint64_t factor = t == 0 ? 1 : (t == 3 ? 32 : 4);
-    core::TableScheme ts;
-    for (int p = 0; p < partitions; ++p) {
-      ts.boundaries.push_back(subscribers * factor *
-                              static_cast<uint64_t>(p) /
-                              static_cast<uint64_t>(partitions));
-      ts.placement.push_back(p);
-    }
-    scheme.tables.push_back(ts);
-  }
-  return scheme;
-}
-
-}  // namespace
-
 int main() {
   constexpr uint64_t kSubscribers = 5000;
   hw::Topology topo = hw::Topology::Cube(1, 2);  // 2 islands × 2 cores
@@ -50,8 +30,8 @@ int main() {
                      static_cast<uint64_t>(topo.num_cores()));
   for (auto& t : workload::BuildTatpTables(kSubscribers, bounds, 42))
     db.AddTable(std::move(t));
-  engine::PartitionedExecutor exec(&db, topo,
-                                   TatpScheme(kSubscribers, topo.num_cores()));
+  engine::PartitionedExecutor exec(
+      &db, topo, workload::TatpScheme(kSubscribers, topo.num_cores()));
 
   // The wire tier: one epoll listener thread per island, ephemeral port.
   server::Server::Options sopt;

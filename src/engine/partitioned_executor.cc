@@ -29,14 +29,13 @@ namespace {
 /// before each batch of the partition it belongs to: every successful
 /// insert/update/delete on this thread becomes a staged log record, and
 /// the transaction's touched-partition bit is set for the commit
-/// protocol. Against a kCompactDiffV2 shard, updates are diff-encoded —
-/// only the contiguous byte range that changed (plus its offset in the
-/// row) is logged instead of the full after-image. Rows are identified by
-/// key; no Rid is logged.
+/// protocol. Updates are diff-encoded: only the contiguous byte range that
+/// changed (plus its offset in the row) is logged instead of the full
+/// after-image. Rows are identified by key; no Rid is logged.
 class WorkerLogObserver : public storage::MutationObserver {
  public:
-  WorkerLogObserver(log::ShardWriter* writer, size_t seq, bool diff_updates)
-      : writer_(writer), seq_(seq), diff_updates_(diff_updates) {}
+  WorkerLogObserver(log::ShardWriter* writer, size_t seq)
+      : writer_(writer), seq_(seq) {}
 
   /// The transaction whose action is currently running on this worker.
   void set_txn(internal::TxnState* st) { st_ = st; }
@@ -50,12 +49,6 @@ class WorkerLogObserver : public storage::MutationObserver {
   void OnUpdate(storage::TableId table, uint64_t key, storage::Rid,
                 const uint8_t* before, const storage::Tuple& after) override {
     if (!Touch()) return;
-    if (!diff_updates_) {
-      writer_->Add(st_->txn_id, log::LogType::kUpdate,
-                   static_cast<uint32_t>(table), key, after.data(),
-                   after.size());
-      return;
-    }
     // Contiguous changed range [lo, hi). An unchanged row still logs a
     // zero-length diff: the record keeps the transaction in the commit
     // protocol and replay validates-then-patches nothing.
@@ -75,7 +68,6 @@ class WorkerLogObserver : public storage::MutationObserver {
     writer_->Add(st_->txn_id, log::LogType::kDelete,
                  static_cast<uint32_t>(table), key, nullptr, 0);
   }
-  bool WantsBeforeImage() const override { return diff_updates_; }
 
  private:
   /// Marks this partition touched; false when the mutation happened
@@ -89,7 +81,6 @@ class WorkerLogObserver : public storage::MutationObserver {
 
   log::ShardWriter* const writer_;
   const size_t seq_;
-  const bool diff_updates_;
   internal::TxnState* st_ = nullptr;
 };
 
@@ -199,7 +190,6 @@ PartitionedExecutor::PartitionedExecutor(Database* db,
     log::LogManager::Options lopt;
     lopt.flush_interval_us = opt_.log_flush_interval_us;
     lopt.start_flusher = !opt_.log_manual_flush;
-    lopt.wire = opt_.log_wire;
     lopt.registry = obs_;
     log_ = std::make_unique<log::LogManager>(lopt);
     ack_sink_ = std::make_unique<CommitAckSink>(this);
@@ -415,8 +405,7 @@ void PartitionedExecutor::WorkerLoop(Worker* w) {
     Lane& l = lanes.emplace_back(p);
     if (log_ != nullptr) {
       l.writer.emplace(log_.get(), p->shard);
-      l.observer.emplace(&*l.writer, p->seq,
-                         opt_.log_wire == log::WireFormat::kCompactDiffV2);
+      l.observer.emplace(&*l.writer, p->seq);
     }
   }
   uint64_t drain_tick = 0;  // 1-in-8 sampling stride for the drain hists

@@ -132,12 +132,6 @@ class PartitionedExecutor : public Database::Drainable {
     /// durability lag, retries of short (faulted) flushes and flush
     /// requests a leader left.
     uint64_t log_flush_interval_us = 50;
-    /// Log record serialization: kCompactDiffV2 (default) writes varint
-    /// headers and diff-encodes updates as (offset, changed-range)
-    /// records; kAfterImageV1 keeps the full after-image encoding with
-    /// fixed headers — the baseline the log-bytes/txn comparison is
-    /// measured against.
-    log::WireFormat log_wire = log::WireFormat::kCompactDiffV2;
     /// Tests: no background flusher and no worker-led flushes — drive
     /// group commit with log_manager()->FlushAll() for deterministic
     /// durable points. kGroup commits only ack on an explicit flush then.

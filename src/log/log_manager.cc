@@ -29,9 +29,8 @@ int LogManager::AddShard(std::shared_ptr<mem::ChunkPool> pool,
     pool = std::make_shared<mem::ChunkPool>(opt_.chunk_payload_bytes, arena);
   std::lock_guard lk(shards_mu_);
   int id = static_cast<int>(shards_.size());
-  shards_.push_back(std::make_unique<LogShard>(id, generation_,
-                                               std::move(pool), arena,
-                                               opt_.wire));
+  shards_.push_back(
+      std::make_unique<LogShard>(id, generation_, std::move(pool), arena));
   active_.push_back(shards_.back().get());
   return id;
 }

@@ -65,11 +65,6 @@ class LogManager {
     bool start_flusher = true;
     /// Chunk payload for shards the manager creates its own pool for.
     size_t chunk_payload_bytes = mem::kPartitionChunkBytes;
-    /// Serialization of every shard this manager creates. kCompactDiffV2
-    /// (default) writes the slim varint + diff records; kAfterImageV1
-    /// keeps the fixed-header after-image encoding for the log-bytes
-    /// comparison.
-    WireFormat wire = WireFormat::kCompactDiffV2;
     /// Observability registry for flush latency, flush count, and the
     /// durable-lag gauge (nullptr = no recording). Must outlive the
     /// manager; the executor passes its database's registry.
@@ -163,7 +158,6 @@ class LogManager {
 
   uint64_t num_records() const;    ///< summed over all shards
   uint64_t bytes_logged() const;   ///< headers + payloads, all shards
-  WireFormat wire() const { return opt_.wire; }
 
  private:
   /// Bounds the flush work one RequestFlush caller does for others, so a

@@ -4,11 +4,11 @@
 // The subsystem replaces a single mutex-serialized write-ahead log — the
 // last centralized structure in a shared-everything engine, whose
 // contention the paper measures as the logging slice of Fig. 4 — with one
-// LogShard per partition, placed on the owning island. Shard records are self-contained
-// for recovery: data records carry the after-image of the row, commit
-// markers carry the transaction's commit epoch and the number of
-// partitions it touched, so replay can decide transaction fate without any
-// central LSN.
+// LogShard per partition, placed on the owning island. Shard records are
+// self-contained for recovery: inserts carry the row's after-image,
+// updates the bytes that changed and their offset, and commit markers
+// carry the transaction's commit epoch and the number of partitions it
+// touched, so replay can decide transaction fate without any central LSN.
 //
 // Commit protocol (Aether-style consolidated group commit, asynchronous
 // acks): the completing worker draws a global commit epoch, then publishes
@@ -34,7 +34,7 @@ using Lsn = uint64_t;
 /// Transaction id as the log records it.
 using TxnId = uint64_t;
 
-/// Record type. The numeric values are part of both wire formats.
+/// Record type. The numeric values are part of the record encoding.
 enum class LogType : uint8_t {
   kBegin,
   kUpdate,
@@ -81,32 +81,6 @@ inline bool ReleaseCommitTicket(CommitTicket* t) {
   return true;
 }
 
-/// How a shard serializes its records (versioned wire format). The log
-/// lives in process memory and is never read by another process, so a
-/// format can change freely; the versions exist for the log-bytes
-/// comparison.
-///
-/// kAfterImageV1 is the original encoding, kept as the reference: one
-/// fixed 48-byte header per record, data records followed by the full
-/// after-image of the row.
-///
-/// kCompactDiffV2 is the slim encoding (Aether-style log slimming).
-/// Every record starts with one byte holding its LogType and, for data
-/// records, the kRecFlagDiff bit; the remaining header fields are LEB128
-/// varints, so small ids cost one byte each:
-///   data:   table, txn, key, [diff offset when kRecFlagDiff], payload
-///           size, then the payload — updates log only the bytes that
-///           changed;
-///   marker: expected, txn, epoch (commit and abort; no payload).
-/// No Rid is logged: replay resolves rows by key, since a logged Rid goes
-/// stale once a repartition generation re-homes the row. LSNs are
-/// implicit (records are parsed back in append order), which is what a
-/// per-shard sequential log gives for free.
-enum class WireFormat : uint8_t {
-  kAfterImageV1 = 1,
-  kCompactDiffV2 = 2,
-};
-
 /// A staged record, owned by a ShardWriter until its batch is appended.
 /// Image bytes live in the writer's side buffer (`image_offset` indexes
 /// it) so staging a record never allocates. For diff-encoded updates the
@@ -126,25 +100,26 @@ struct PendingRecord {
   CommitTicket* ticket = nullptr; ///< commit markers only; may be null
 };
 
-/// On-"disk" v1 record header, memcpy'd into a shard's chunk buffer and
-/// followed by `image_size` bytes of after-image.
-struct RecordHeader {
-  Lsn lsn = 0;
-  TxnId txn = 0;
-  uint64_t key = 0;
-  uint64_t epoch = 0;
-  uint32_t table = 0;
-  uint16_t type = 0;
-  uint16_t marker_expected = 0;
-  uint32_t image_size = 0;
-  uint32_t pad = 0;
-};
-static_assert(sizeof(RecordHeader) == 48, "keep the v1 wire format stable");
+// Record encoding (Aether-style log slimming). The log lives in process
+// memory and is never read by another process, so the encoding carries no
+// version.
+//
+// Every record starts with one byte holding its LogType and, for data
+// records, the kRecFlagDiff bit; the remaining header fields are LEB128
+// varints, so small ids cost one byte each:
+//   data:   table, txn, key, [diff offset when kRecFlagDiff], payload
+//           size, then the payload — updates log only the bytes that
+//           changed;
+//   marker: expected, txn, epoch (commit and abort; no payload).
+// No Rid is logged: replay resolves rows by key, since a logged Rid goes
+// stale once a repartition generation re-homes the row. LSNs are
+// implicit (records are parsed back in append order), which is what a
+// per-shard sequential log gives for free.
 
-/// v2 type-byte flag: the data record's payload is a partial-row diff.
+/// Type-byte flag: the data record's payload is a partial-row diff.
 inline constexpr uint8_t kRecFlagDiff = 0x80;
 
-/// True for the record types serialized as v2 markers.
+/// True for the record types serialized as markers.
 inline bool IsMarkerType(LogType t) {
   return t == LogType::kCommit || t == LogType::kAbort;
 }

@@ -11,9 +11,8 @@
 namespace atrapos::log {
 
 LogShard::LogShard(int id, int generation,
-                   std::shared_ptr<mem::ChunkPool> pool, mem::Arena* arena,
-                   WireFormat wire)
-    : id_(id), generation_(generation), wire_(wire), pool_(std::move(pool)),
+                   std::shared_ptr<mem::ChunkPool> pool, mem::Arena* arena)
+    : id_(id), generation_(generation), pool_(std::move(pool)),
       arena_(arena) {}
 
 LogShard::~LogShard() {
@@ -22,7 +21,7 @@ LogShard::~LogShard() {
 
 namespace {
 
-// ---- v2 varint codec ----------------------------------------------------
+// ---- varint codec --------------------------------------------------------
 
 size_t VarintSize(uint64_t v) {
   size_t n = 1;
@@ -57,11 +56,11 @@ bool GetVarint(const uint8_t** p, const uint8_t* end, uint64_t* v) {
   return false;
 }
 
-/// Parses one v2 header at [p, end) into `r` (everything but lsn and
+/// Parses one record header at [p, end) into `r` (everything but lsn and
 /// image) and its payload size; returns the header length, 0 when the
 /// header does not fit.
-size_t ParseHeaderV2(const uint8_t* p, const uint8_t* end,
-                     RecoveredRecord* r, uint64_t* image_size) {
+size_t ParseHeader(const uint8_t* p, const uint8_t* end, RecoveredRecord* r,
+                   uint64_t* image_size) {
   const uint8_t* const start = p;
   const uint8_t tag = *p++;
   r->type = static_cast<LogType>(tag & ~kRecFlagDiff);
@@ -89,8 +88,6 @@ size_t ParseHeaderV2(const uint8_t* p, const uint8_t* end,
 }  // namespace
 
 size_t LogShard::WireSize(const PendingRecord& r) const {
-  if (wire_ == WireFormat::kAfterImageV1)
-    return sizeof(RecordHeader) + r.image_size;
   if (IsMarkerType(r.type))
     return 1 + VarintSize(r.marker_expected) + VarintSize(r.txn) +
            VarintSize(r.epoch);
@@ -116,32 +113,10 @@ uint8_t* LogShard::ReserveLocked(size_t need) {
   return p;
 }
 
-size_t LogShard::WriteLocked(const PendingRecord& r, Lsn lsn,
-                             const uint8_t* image) {
+size_t LogShard::WriteLocked(const PendingRecord& r, const uint8_t* image) {
   size_t need = WireSize(r);
   uint8_t* p = ReserveLocked(need);
-  if (wire_ == WireFormat::kAfterImageV1) {
-    // Diff payloads require the v2 headers that carry the diff offset; a
-    // diff staged against a v1 shard would serialize as a corrupt
-    // partial after-image and silently vanish at recovery — fail loudly
-    // (release builds included, like oversized records).
-    if (r.is_diff) {
-      std::fprintf(stderr, "LogShard: diff record staged against a v1 "
-                           "after-image shard\n");
-      std::abort();
-    }
-    RecordHeader h;
-    h.lsn = lsn;
-    h.txn = r.txn;
-    h.key = r.key;
-    h.epoch = r.epoch;
-    h.table = r.table;
-    h.type = static_cast<uint16_t>(r.type);
-    h.marker_expected = r.marker_expected;
-    h.image_size = r.image_size;
-    std::memcpy(p, &h, sizeof(h));
-    p += sizeof(h);
-  } else if (IsMarkerType(r.type)) {
+  if (IsMarkerType(r.type)) {
     *p++ = static_cast<uint8_t>(r.type);
     p = PutVarint(p, r.marker_expected);
     p = PutVarint(p, r.txn);
@@ -183,7 +158,7 @@ Lsn LogShard::AppendBatch(const PendingRecord* recs, size_t n,
                          WireSize(r) / 2;
         torn_lsn_ = lsn;
       }
-      bytes += WriteLocked(r, lsn, images + r.image_offset);
+      bytes += WriteLocked(r, images + r.image_offset);
       if (r.ticket != nullptr) {
         waiters_.emplace_back(lsn, r.ticket);
         if (r.ticket->remaining_append.fetch_sub(
@@ -298,38 +273,21 @@ ShardSnapshot LogShard::SnapshotDurable() const {
   const uint64_t cut =
       torn_cut_byte_ == 0 ? UINT64_MAX : torn_cut_byte_;
   uint64_t pos = 0;
-  // v2 LSNs are implicit: records were written in LSN order starting at 1,
+  // LSNs are implicit: records were written in LSN order starting at 1,
   // so the parse position IS the LSN (what a sequential log disk encodes
   // by construction).
   Lsn next = 1;
   for (const Buf& b : bufs_) {
     uint32_t off = 0;
     while (off < b.used) {
+      if (next > durable) return snap;  // crash cut
       RecoveredRecord r;
-      uint32_t image_size = 0;
-      size_t header = 0;
-      if (wire_ == WireFormat::kAfterImageV1) {
-        if (off + sizeof(RecordHeader) > b.used) break;
-        RecordHeader h;
-        std::memcpy(&h, b.data + off, sizeof(h));
-        if (h.lsn == 0 || h.lsn > durable) return snap;  // crash cut
-        r.lsn = h.lsn;
-        r.txn = h.txn;
-        r.type = static_cast<LogType>(h.type);
-        r.table = h.table;
-        r.key = h.key;
-        r.epoch = h.epoch;
-        r.marker_expected = h.marker_expected;
-        image_size = h.image_size;
-        header = sizeof(h);
-      } else {
-        if (next > durable) return snap;  // crash cut
-        uint64_t size = 0;
-        header = ParseHeaderV2(b.data + off, b.data + b.used, &r, &size);
-        if (header == 0 || header + size > b.used - off) break;
-        r.lsn = next;
-        image_size = static_cast<uint32_t>(size);
-      }
+      uint64_t size = 0;
+      const size_t header =
+          ParseHeader(b.data + off, b.data + b.used, &r, &size);
+      if (header == 0 || header + size > b.used - off) break;
+      r.lsn = next;
+      const uint32_t image_size = static_cast<uint32_t>(size);
       if (pos + header + image_size > cut) {
         snap.torn = true;
         snap.torn_lsn = torn_lsn_;

@@ -33,11 +33,10 @@ class LogShard {
  public:
   /// `pool` backs the chunk chain (shared with the partition's inbox so a
   /// sealed shard keeps its blocks alive after the partition is gone);
-  /// `arena` — when non-null — charges append traffic to the owner island;
-  /// `wire` selects the serialization (see WireFormat).
+  /// `arena` — when non-null — charges append traffic to the owner island.
+  /// Records are serialized in the varint encoding log_record.h describes.
   LogShard(int id, int generation, std::shared_ptr<mem::ChunkPool> pool,
-           mem::Arena* arena,
-           WireFormat wire = WireFormat::kCompactDiffV2);
+           mem::Arena* arena);
   ~LogShard();
 
   LogShard(const LogShard&) = delete;
@@ -89,7 +88,6 @@ class LogShard {
 
   int id() const { return id_; }
   int generation() const { return generation_; }
-  WireFormat wire() const { return wire_; }
   bool sealed() const;
   Lsn durable_lsn() const {
     return durable_lsn_.load(std::memory_order_acquire);
@@ -109,11 +107,11 @@ class LogShard {
     uint32_t used = 0;
   };
 
-  /// Serialized size of one staged record under this shard's wire format.
+  /// Serialized size of one staged record.
   size_t WireSize(const PendingRecord& r) const;
   /// Copies one record into the chunk chain and returns its wire size;
   /// caller holds mu_.
-  size_t WriteLocked(const PendingRecord& r, Lsn lsn, const uint8_t* image);
+  size_t WriteLocked(const PendingRecord& r, const uint8_t* image);
   /// Ensures the chunk chain can take `need` contiguous bytes; caller
   /// holds mu_. Returns the write position.
   uint8_t* ReserveLocked(size_t need);
@@ -124,7 +122,6 @@ class LogShard {
 
   const int id_;
   const int generation_;
-  const WireFormat wire_;
   const std::shared_ptr<mem::ChunkPool> pool_;
   mem::Arena* const arena_;
 

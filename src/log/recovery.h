@@ -10,7 +10,7 @@
 // Replay applies the data records of committed transactions in per-shard
 // LSN order (each key lives in exactly one shard of its generation, so
 // per-shard order is per-key order). After-image records go through the
-// table's insert/update path; diff-encoded records (kCompactDiffV2) are
+// table's insert/update path; diff-encoded records (kRecFlagDiff) are
 // applied IN PLACE — the key resolves the row's current Rid through the
 // index (the logged Rid goes stale across repartition generations) and
 // the changed byte range is patched directly in the heap, with no

@@ -46,8 +46,7 @@ class ShardWriter {
 
   /// Stages a diff-encoded update: only the `len` changed bytes at
   /// `offset` within the row are copied (len 0 is a valid no-op update —
-  /// the record still decides commit protocol membership). Requires a
-  /// kCompactDiffV2 shard.
+  /// the record still decides commit protocol membership).
   void AddDiff(TxnId txn, uint32_t table, uint64_t key, uint16_t offset,
                const uint8_t* bytes, uint16_t len) {
     PendingRecord r;

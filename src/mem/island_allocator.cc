@@ -15,17 +15,6 @@ const char* ToString(PlacementPolicy p) {
   return "?";
 }
 
-std::optional<PlacementPolicy> ParsePlacementPolicy(const std::string& name) {
-  if (name == "local" || name == "Local") return PlacementPolicy::kLocal;
-  if (name == "central" || name == "Central") return PlacementPolicy::kCentral;
-  if (name == "remote" || name == "Remote") return PlacementPolicy::kRemote;
-  if (name == "interleaved" || name == "Interleaved")
-    return PlacementPolicy::kInterleaved;
-  if (name == "firsttouch" || name == "first_touch" || name == "FirstTouch")
-    return PlacementPolicy::kFirstTouch;
-  return std::nullopt;
-}
-
 IslandAllocator::IslandAllocator(const hw::Topology& topo)
     : IslandAllocator(topo, Options{}) {}
 

@@ -15,8 +15,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "hw/topology.h"
@@ -34,7 +32,6 @@ enum class PlacementPolicy {
 };
 
 const char* ToString(PlacementPolicy p);
-std::optional<PlacementPolicy> ParsePlacementPolicy(const std::string& name);
 
 class IslandAllocator {
  public:

@@ -5,7 +5,8 @@
 // them as TXN_BATCH frames once `Options::batch` accumulate (the
 // round-trip-amortization knob the server's wave submission is built for);
 // Poll() reads whatever acks arrived and fires the registered callbacks.
-// Tests and bench/wire_tatp drive it; it is not a production client.
+// Tests and perfbench's tatp-wire workload drive it; it is not a
+// production client.
 //
 // Window discipline: with enforce_window (default) Submit blocks in Poll()
 // until a slot frees, implementing a well-behaved closed loop. Disable it

@@ -96,19 +96,12 @@ Status Table::Update(uint64_t key, const Tuple& row) {
   if (h == nullptr) return Status::NotFound("stale heap id");
   if (t_observer != nullptr) {
     // Capture the before-image (one latch round-trip, same acquisition as
-    // the write) so the observer can diff-encode the log record. Only
-    // paid when the installed observer will diff.
-    const uint8_t* before = nullptr;
-    if (t_observer->WantsBeforeImage()) {
-      t_before.resize(row.size());
-      ATRAPOS_RETURN_NOT_OK(h->UpdateCapturingBefore(rid, row.data(),
-                                                     row.size(),
-                                                     t_before.data()));
-      before = t_before.data();
-    } else {
-      ATRAPOS_RETURN_NOT_OK(h->Update(rid, row.data(), row.size()));
-    }
-    t_observer->OnUpdate(id_, key, rid, before, row);
+    // the write) so the observer can diff-encode the log record.
+    t_before.resize(row.size());
+    ATRAPOS_RETURN_NOT_OK(h->UpdateCapturingBefore(rid, row.data(),
+                                                   row.size(),
+                                                   t_before.data()));
+    t_observer->OnUpdate(id_, key, rid, t_before.data(), row);
     return Status::OK();
   }
   return h->Update(rid, row.data(), row.size());

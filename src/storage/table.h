@@ -36,14 +36,10 @@ class MutationObserver {
   virtual void OnInsert(TableId table, uint64_t key, Rid rid,
                         const Tuple& row) = 0;
   /// `before` points at a copy of the pre-update bytes (same length as
-  /// `after`), valid only for the duration of the call — or nullptr when
-  /// WantsBeforeImage() returned false.
+  /// `after`), valid only for the duration of the call.
   virtual void OnUpdate(TableId table, uint64_t key, Rid rid,
                         const uint8_t* before, const Tuple& after) = 0;
   virtual void OnDelete(TableId table, uint64_t key, Rid rid) = 0;
-  /// Override to return false to skip the before-image capture (an extra
-  /// heap read per update) when OnUpdate will not diff.
-  virtual bool WantsBeforeImage() const { return true; }
 };
 
 /// Installs `obs` for the calling thread (nullptr uninstalls).

@@ -114,6 +114,23 @@ core::WorkloadSpec TatpSingleTxnSpec(TatpTxn txn, uint64_t subscribers) {
   return spec;
 }
 
+core::Scheme TatpScheme(uint64_t subscribers, int partitions) {
+  core::Scheme scheme;
+  scheme.tables.resize(4);
+  for (int p = 0; p < partitions; ++p) {
+    const uint64_t s = subscribers * static_cast<uint64_t>(p) /
+                       static_cast<uint64_t>(partitions);
+    const uint64_t bounds[4] = {s, TatpEncodeAiKey(s, 0),
+                                TatpEncodeSfKey(s, 0),
+                                TatpEncodeCfKey(s, 0, 0)};
+    for (int t = 0; t < 4; ++t) {
+      scheme.tables[static_cast<size_t>(t)].boundaries.push_back(bounds[t]);
+      scheme.tables[static_cast<size_t>(t)].placement.push_back(p);
+    }
+  }
+  return scheme;
+}
+
 std::vector<std::unique_ptr<storage::Table>> BuildTatpTables(
     uint64_t subscribers, std::vector<uint64_t> boundaries, uint64_t seed) {
   using storage::Column;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/flow_graph.h"
+#include "core/scheme.h"
 #include "storage/table.h"
 #include "util/rng.h"
 
@@ -71,5 +72,11 @@ constexpr uint64_t TatpEncodeCfKey(uint64_t s_id, uint64_t sf_type,
                                    uint64_t start_time) {
   return s_id * 32 + (sf_type & 3) * 8 + (start_time / 8 % 8);
 }
+
+/// Range partitioning of all four tables into `partitions` equal
+/// subscriber ranges, partition p on core p. Each table's boundary p is
+/// the encoded key of subscriber boundary `subscribers * p / partitions`,
+/// so every row of a subscriber lands in that subscriber's partition.
+core::Scheme TatpScheme(uint64_t subscribers, int partitions);
 
 }  // namespace atrapos::workload

@@ -854,15 +854,8 @@ class TatpGraphTest : public ::testing::Test {
     std::vector<uint64_t> bounds = {0, kSubs / 2};
     for (auto& t : workload::BuildTatpTables(kSubs, bounds))
       db_.AddTable(std::move(t));
-    core::Scheme scheme;
-    for (int t = 0; t < 4; ++t) {
-      uint64_t factor = t == 0 ? 1 : (t == 3 ? 32 : 4);
-      core::TableScheme ts;
-      ts.boundaries = {0, (kSubs / 2) * factor};
-      ts.placement = {0, 1};
-      scheme.tables.push_back(ts);
-    }
-    exec_ = std::make_unique<PartitionedExecutor>(&db_, topo_, scheme);
+    exec_ = std::make_unique<PartitionedExecutor>(
+        &db_, topo_, workload::TatpScheme(kSubs, 2));
   }
 
   hw::Topology topo_;

@@ -30,22 +30,6 @@
 namespace atrapos::server {
 namespace {
 
-core::Scheme TatpScheme(uint64_t subscribers, int partitions) {
-  core::Scheme scheme;
-  for (int t = 0; t < 4; ++t) {
-    uint64_t factor = t == 0 ? 1 : (t == 3 ? 32 : 4);
-    core::TableScheme ts;
-    for (int p = 0; p < partitions; ++p) {
-      ts.boundaries.push_back(subscribers * factor *
-                              static_cast<uint64_t>(p) /
-                              static_cast<uint64_t>(partitions));
-      ts.placement.push_back(p);
-    }
-    scheme.tables.push_back(ts);
-  }
-  return scheme;
-}
-
 /// A small TATP database + executor + running server, torn down in the
 /// documented order: server.Stop(), db.Drain(), destroy executor, db.
 struct Service {
@@ -64,7 +48,8 @@ struct Service {
     for (auto& t : workload::BuildTatpTables(kSubscribers, bounds, 42))
       db->AddTable(std::move(t));
     exec = std::make_unique<engine::PartitionedExecutor>(
-        db.get(), topo, TatpScheme(kSubscribers, topo.num_cores()), eopt);
+        db.get(), topo, workload::TatpScheme(kSubscribers, topo.num_cores()),
+        eopt);
     sopt.bind_listeners = false;  // CI machines are small
     server = std::make_unique<Server>(db.get(), exec.get(), kSubscribers,
                                       sopt);
@@ -253,7 +238,7 @@ TEST(ServerTest, ClientHoldingExactlyItsWindowIsNeverShed) {
   std::atomic<bool> done{false};
   std::thread churn([&] {
     for (int i = 0; !done.load(); ++i) {
-      core::Scheme target = TatpScheme(Service::kSubscribers, 2);
+      core::Scheme target = workload::TatpScheme(Service::kSubscribers, 2);
       if (i % 2 == 0)
         for (auto& ts : target.tables) ts.placement = {1, 0};
       ASSERT_TRUE(s.exec->Repartition(target).ok());
@@ -475,8 +460,8 @@ TEST(ServerShutdownTest, NoCompletionFiresAfterDatabaseDrain) {
                      static_cast<uint64_t>(topo.num_cores()));
   for (auto& t : workload::BuildTatpTables(kSubs, bounds, 42))
     db.AddTable(std::move(t));
-  engine::PartitionedExecutor exec(&db, topo,
-                                   TatpScheme(kSubs, topo.num_cores()));
+  engine::PartitionedExecutor exec(
+      &db, topo, workload::TatpScheme(kSubs, topo.num_cores()));
   workload::TatpActionGraphs graphs(kSubs);
 
   std::atomic<bool> drain_returned{false};

@@ -66,6 +66,31 @@ TEST(TatpTest, BuildTablesPopulates) {
   EXPECT_EQ(tables[kSubscriber]->index().num_partitions(), 2u);
 }
 
+// Each table's boundary p is the encoded key of subscriber boundary p, so
+// all of a subscriber's rows share its partition; partition p is on core p.
+TEST(TatpTest, SchemeBoundariesFollowTheKeyEncoders) {
+  constexpr uint64_t kSubs = 1001;  // not a multiple of the partition count
+  constexpr int kParts = 3;
+  core::Scheme scheme = TatpScheme(kSubs, kParts);
+  ASSERT_EQ(scheme.tables.size(), 4u);
+  for (const core::TableScheme& ts : scheme.tables) {
+    ASSERT_EQ(ts.boundaries.size(), static_cast<size_t>(kParts));
+    ASSERT_EQ(ts.placement.size(), static_cast<size_t>(kParts));
+  }
+  for (int p = 0; p < kParts; ++p) {
+    const size_t i = static_cast<size_t>(p);
+    const uint64_t s = kSubs * i / kParts;
+    EXPECT_EQ(scheme.tables[kSubscriber].boundaries[i], s);
+    EXPECT_EQ(scheme.tables[kAccessInfo].boundaries[i], TatpEncodeAiKey(s, 0));
+    EXPECT_EQ(scheme.tables[kSpecialFacility].boundaries[i],
+              TatpEncodeSfKey(s, 0));
+    EXPECT_EQ(scheme.tables[kCallForwarding].boundaries[i],
+              TatpEncodeCfKey(s, 0, 0));
+    for (const core::TableScheme& ts : scheme.tables)
+      EXPECT_EQ(ts.placement[i], p);
+  }
+}
+
 TEST(TpccTest, SpecShape) {
   auto spec = TpccSpec(80);
   EXPECT_EQ(spec.tables.size(), 9u);
